@@ -10,6 +10,7 @@ import logging
 import os
 import random
 import sys
+from fractions import Fraction
 
 import networkx as nx
 
@@ -21,9 +22,9 @@ from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
 from .generators import (CvGenerationError, enumerate_cv, gen_cv, gen_tap,
                          gen_vc, read_pace_graph)
 from .graphs import make_graph
-from .model import (Certificate, as_fraction, certificate_to_dict, is_integral,
-                    load_certificate, load_instance, save_certificate,
-                    save_instance, support, verify_certificate)
+from .model import (ValidationError, as_fraction, certificate_to_dict, is_integral,
+                    load_certificate, load_instance, save_instance,
+                    verify_certificate)
 from .twoec import (SubtourPoint, fdt_2ec, load_point, save_point,
                     verify_certificate_2ec)
 
@@ -33,8 +34,11 @@ log = logging.getLogger("fdt")
 def _load_vector(path):
     with open(path) as fh:
         d = json.load(fh)
-    values = d["values"] if isinstance(d, dict) else d
-    return [as_fraction(v) for v in values]
+    try:
+        values = d["values"] if isinstance(d, dict) else d
+        return [as_fraction(v) for v in values]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed point: {exc}") from exc
 
 
 def _mode(args):
@@ -97,12 +101,14 @@ def cmd_solve_2ec(args):
 
 def cmd_verify(args):
     cert = load_certificate(args.certificate)
+    # rational certificates load as Fractions and are checked exactly
+    tol = 0 if isinstance(cert.factor, Fraction) else 1e-6
     if args.instance:
         inst = load_instance(args.instance)
-        ok, report = verify_certificate(cert, inst)
+        ok, report = verify_certificate(cert, inst, tol=tol)
     else:
         point = load_point(args.point)
-        ok, report = verify_certificate_2ec(cert, point.graph)
+        ok, report = verify_certificate_2ec(cert, point.graph, tol=tol)
     for line in report:
         print(line)
     print("valid" if ok else "INVALID")

@@ -31,10 +31,6 @@ class Graph:
     def num_edges(self):
         return len(self.edges)
 
-    def degree_cut(self, v):
-        """Edge indices incident to vertex v."""
-        return [k for k, (a, b) in enumerate(self.edges) if v in (a, b)]
-
     def cut_edges(self, side):
         """Edge indices crossing the cut (side, complement)."""
         side = set(side)

@@ -16,7 +16,6 @@ from scipy.optimize import linprog
 from . import simplex
 
 FEAS_TOL = 1e-7
-OPT_TOL = 1e-9
 ZERO_OBJ_TOL = 1e-6  # "optimal value is 0" tests in float mode
 
 OPTIMAL = "optimal"

@@ -231,6 +231,18 @@ class Certificate:
         return min(self.solutions, key=lambda z: sum(c * v for c, v in zip(objective, z)))
 
 
+def check_dimensions(cert, n):
+    """Raise ValidationError unless the base point and every solution have
+    length n and there is one weight per solution."""
+    if len(cert.base_point) != n:
+        raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
+    if len(cert.weights) != len(cert.solutions):
+        raise ValidationError("weights and solutions have different lengths")
+    for z in cert.solutions:
+        if len(z) != n:
+            raise ValidationError("solution with wrong dimension")
+
+
 def verify_certificate(cert, inst, tol=1e-6):
     """Check the four certificate invariants against an instance.
 
@@ -239,13 +251,7 @@ def verify_certificate(cert, inst, tol=1e-6):
     """
     report = []
     n = inst.num_vars
-    if len(cert.base_point) != n:
-        raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
-    if len(cert.weights) != len(cert.solutions):
-        raise ValidationError("weights and solutions have different lengths")
-    for z in cert.solutions:
-        if len(z) != n:
-            raise ValidationError("solution with wrong dimension")
+    check_dimensions(cert, n)
 
     total = sum(cert.weights)
     if abs(total - 1) > tol:
@@ -292,16 +298,26 @@ def certificate_to_dict(cert, rational=True):
     }
 
 
+def _integer(v):
+    f = as_fraction(v)
+    if not is_integral(f):
+        raise ValidationError(f"solution entry {v!r} is not an integer")
+    return int(f)
+
+
 def certificate_from_dict(d):
-    rational = d.get("mode", "rational") == "rational"
-    conv = as_fraction if rational else float
-    return Certificate(
-        factor=conv(d["factor"]),
-        weights=tuple(conv(w) for w in d["weights"]),
-        solutions=tuple(tuple(int(v) for v in z) for z in d["solutions"]),
-        base_point=tuple(conv(v) for v in d["base_point"]),
-        name=d.get("name", ""),
-    )
+    try:
+        rational = d.get("mode", "rational") == "rational"
+        conv = as_fraction if rational else float
+        return Certificate(
+            factor=conv(d["factor"]),
+            weights=tuple(conv(w) for w in d["weights"]),
+            solutions=tuple(tuple(_integer(v) for v in z) for z in d["solutions"]),
+            base_point=tuple(conv(v) for v in d["base_point"]),
+            name=d.get("name", ""),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed certificate: {exc}") from exc
 
 
 def save_certificate(cert, path, rational=True):

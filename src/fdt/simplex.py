@@ -4,6 +4,16 @@ Two-phase full-tableau method with Bland's pivoting rule.  Slow compared to
 any float solver, but every optimum it returns is an exact vertex of the
 feasible region, which the pruning step downstream relies on.  Intended for
 small problems (a few hundred nonzeros); the float backend handles the rest.
+
+Fraction arithmetic dominates the cost, so the loop does as little of it as
+it can.  A pivot scales the pivot row, collects its nonzeros as (column,
+value) pairs and updates each other row with a nonzero in the entering
+column over those columns only.  The reduced-cost row is computed once per
+phase and then carried across pivots with the same pairs,
+``d[j] -= d[e] * row_r[j]``; a bound flip leaves it as it is.  In exact
+arithmetic the carried row equals the recomputed one, so Bland's rule makes
+the same choices, and the vertex, basis and duals do not depend on this
+bookkeeping.
 """
 
 from fractions import Fraction
@@ -59,6 +69,8 @@ class _Tableau:
         self.n = ncol
         self.lo = lo
         self.hi = hi
+        # columns that may enter the basis, in Bland order; fixed ones never do
+        self.movable = [j for j in range(ncol) if lo[j] != hi[j]]
         # nonbasic start: everything at its lower bound
         self.at_upper = set()
         xN = lo
@@ -76,11 +88,7 @@ class _Tableau:
             self.T.append(dense)
         # artificial basis; artificial for row k has index n + k and never re-enters
         self.basis = [ncol + k for k in range(self.m)]
-
-    def value(self, j):
-        if j in self.basis:
-            return self.xB[self.basis.index(j)]
-        return self.hi[j] if j in self.at_upper else self.lo[j]
+        self.d = None  # reduced-cost row of the current phase
 
     def values(self):
         out = [self.hi[j] if j in self.at_upper else self.lo[j] for j in range(self.n)]
@@ -89,29 +97,45 @@ class _Tableau:
                 out[j] = self.xB[i]
         return out
 
-    def _reduced_costs(self, c):
-        cB = [c[j] if j < self.n else self.art_cost for j in self.basis]
+    def _reduced_costs(self, c, art_cost):
         d = list(c)
-        for i, ci in enumerate(cB):
+        for i, j in enumerate(self.basis):
+            ci = c[j] if j < self.n else art_cost
             if ci == 0:
                 continue
-            Ti = self.T[i]
-            for j in range(self.n):
-                if Ti[j] != 0:
-                    d[j] -= ci * Ti[j]
+            for k, v in enumerate(self.T[i]):
+                if v != 0:
+                    d[k] -= ci * v
         return d
+
+    def _pivot(self, r, e):
+        """Make column e basic in row r; returns the new row r's nonzeros as
+        (column, value) pairs.  Only those columns change in the other rows."""
+        Tr = self.T[r]
+        inv = 1 / Tr[e]
+        nz = [(j, v * inv) for j, v in enumerate(Tr) if v != 0]
+        for j, v in nz:
+            Tr[j] = v
+        for i, Ti in enumerate(self.T):
+            f = Ti[e]
+            if f == 0 or i == r:
+                continue
+            for j, v in nz:
+                Ti[j] -= f * v
+        return nz
 
     def run(self, c, art_cost):
         """Minimize c over the current tableau; returns 'optimal' or 'unbounded'."""
-        self.art_cost = art_cost
         basic = set(self.basis)
+        d = self.d = self._reduced_costs(c, art_cost)
+        lo, hi, at_upper, xB, basis = self.lo, self.hi, self.at_upper, self.xB, self.basis
+        n = self.n
         for _ in range(MAX_ITER):
-            d = self._reduced_costs(c)
             enter = -1
-            for j in range(self.n):
-                if j in basic or self.lo[j] == self.hi[j]:
+            for j in self.movable:
+                if j in basic:
                     continue
-                if j in self.at_upper:
+                if j in at_upper:
                     if d[j] > 0:
                         enter = j
                         break
@@ -120,67 +144,55 @@ class _Tableau:
                     break
             if enter < 0:
                 return "optimal"
-            sigma = -1 if enter in self.at_upper else 1
-            w = [self.T[i][enter] for i in range(self.m)]
+            increase = enter not in at_upper
+            col = [(i, Ti[enter]) for i, Ti in enumerate(self.T) if Ti[enter] != 0]
             # ratio test: largest step t >= 0 keeping everything inside bounds
             t_best = None
             leave = -1  # -1 means bound flip of the entering variable
-            if self.hi[enter] is not None:
-                t_best = self.hi[enter] - self.lo[enter]
-            for i in range(self.m):
-                swi = sigma * w[i]
-                if swi > 0:
-                    lb = self.lo[self.basis[i]] if self.basis[i] < self.n else Fraction(0)
-                    t_i = (self.xB[i] - lb) / swi
-                elif swi < 0:
-                    ub = self.hi[self.basis[i]] if self.basis[i] < self.n else None
-                    if ub is None:
-                        continue
-                    t_i = (ub - self.xB[i]) / (-swi)
+            if hi[enter] is not None:
+                t_best = hi[enter] - lo[enter]
+            for i, wi in col:
+                bi = basis[i]
+                if (wi > 0) == increase:  # basic variable falls to its lower bound
+                    t_i = (xB[i] - (lo[bi] if bi < n else 0)) / abs(wi)
+                elif bi < n and hi[bi] is not None:  # rises to its upper bound
+                    t_i = (hi[bi] - xB[i]) / abs(wi)
                 else:
                     continue
                 if t_best is None or t_i < t_best:
                     t_best = t_i
                     leave = i
-                elif t_i == t_best and leave >= 0 and self.basis[i] < self.basis[leave]:
+                elif t_i == t_best and leave >= 0 and bi < basis[leave]:
                     # Bland tie-break on the leaving variable index
                     leave = i
             if t_best is None:
                 return "unbounded"
-            for i in range(self.m):
-                if w[i] != 0:
-                    self.xB[i] -= sigma * t_best * w[i]
+            step = t_best if increase else -t_best
+            for i, wi in col:
+                xB[i] -= step * wi
             if leave < 0:
-                # entering variable flips from one finite bound to the other
-                if enter in self.at_upper:
-                    self.at_upper.discard(enter)
+                # entering variable flips from one finite bound to the other;
+                # the basis, and so the reduced costs, stay as they are
+                if increase:
+                    at_upper.add(enter)
                 else:
-                    self.at_upper.add(enter)
+                    at_upper.discard(enter)
                 continue
-            leaving = self.basis[leave]
-            enter_val = (self.hi[enter] if enter in self.at_upper else self.lo[enter]) + sigma * t_best
-            if leaving < self.n:
-                if sigma * w[leave] > 0:
-                    self.at_upper.discard(leaving)
+            leaving = basis[leave]
+            enter_val = (lo[enter] if increase else hi[enter]) + step
+            if leaving < n:
+                if (self.T[leave][enter] > 0) == increase:
+                    at_upper.discard(leaving)
                 else:
-                    self.at_upper.add(leaving)
+                    at_upper.add(leaving)
             basic.discard(leaving)
             basic.add(enter)
-            self.basis[leave] = enter
-            self.at_upper.discard(enter)
-            piv = self.T[leave][enter]
-            Tr = self.T[leave]
-            inv = 1 / piv
-            self.T[leave] = [v * inv for v in Tr]
-            Tr = self.T[leave]
-            for i in range(self.m):
-                if i == leave:
-                    continue
-                f = self.T[i][enter]
-                if f != 0:
-                    Ti = self.T[i]
-                    self.T[i] = [a - f * bb for a, bb in zip(Ti, Tr)]
-            self.xB[leave] = enter_val
+            basis[leave] = enter
+            at_upper.discard(enter)
+            de = d[enter]
+            for j, v in self._pivot(leave, enter):
+                d[j] -= de * v
+            xB[leave] = enter_val
         raise CyclingError("simplex iteration limit exceeded")
 
     def drive_out_artificials(self):
@@ -189,10 +201,7 @@ class _Tableau:
         for i in range(self.m):
             if self.basis[i] < self.n:
                 continue
-            piv_col = next(
-                (j for j in range(self.n) if self.T[i][j] != 0 and self.lo[j] != self.hi[j]),
-                None,
-            )
+            piv_col = next((j for j in self.movable if self.T[i][j] != 0), None)
             if piv_col is None:
                 drop.append(i)
                 continue
@@ -202,15 +211,7 @@ class _Tableau:
             self.basis[i] = piv_col
             self.at_upper.discard(piv_col)
             self.xB[i] = enter_val
-            piv = self.T[i][piv_col]
-            self.T[i] = [v / piv for v in self.T[i]]
-            Tr = self.T[i]
-            for k in range(self.m):
-                if k == i:
-                    continue
-                f = self.T[k][piv_col]
-                if f != 0:
-                    self.T[k] = [a - f * bb for a, bb in zip(self.T[k], Tr)]
+            self._pivot(i, piv_col)
         for i in reversed(drop):
             del self.T[i], self.xB[i], self.basis[i]
             self.m -= 1
@@ -221,7 +222,7 @@ def solve_rational(problem):
 
     values covers the problem's structural columns only; basis lists the
     basic column indices (structural and slack); duals has one multiplier per
-    original row, None for rows dropped as redundant.
+    original row, None for equality rows (they have no slack to read it from).
     """
     rows, b, lo, hi, c, ncol = _to_equality_form(problem)
     tab = _Tableau(rows, b, lo, hi, ncol)
@@ -243,15 +244,15 @@ def solve_rational(problem):
     x = vals[: problem.num_cols]
     obj = sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))
     basis = sorted(j for j in tab.basis if j < ncol)
-    duals = _recover_duals(problem, tab, c, ncol)
+    duals = _recover_duals(problem, tab.d)
     if problem.maximize:
-        duals = None if duals is None else [None if y is None else -y for y in duals]
+        duals = [None if y is None else -y for y in duals]
     return "optimal", x, obj, basis, duals
 
 
-def _recover_duals(problem, tab, c, ncol):
-    """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present."""
-    d = tab._reduced_costs(c)
+def _recover_duals(problem, d):
+    """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
+    d is phase 2's final reduced-cost row."""
     duals = []
     col = problem.num_cols
     for coef, sense, rhs in problem.rows:

@@ -17,7 +17,8 @@ from . import lp
 from .binary import CHECK_TOL, GAMMA_TOL, InvariantError, prune
 from .domtoip import UnboundedGapOrInfeasible
 from .graphs import Graph, global_min_cut, graph_from_dict, graph_to_dict, make_graph
-from .model import ZERO_TOL, Certificate, as_fraction, support
+from .model import (ZERO_TOL, Certificate, ValidationError, as_fraction,
+                    check_dimensions, support)
 
 SEP_TOL = 1e-7
 SEP_LAMBDA_TOL = 1e-9
@@ -246,6 +247,7 @@ def _fdt_2ec(point, mode, check, trace):
 
 def verify_certificate_2ec(cert, graph, tol=1e-6):
     """Certificate checks for the multigraph setting; see the binary verifier."""
+    check_dimensions(cert, graph.num_edges)
     report = []
     total = sum(cert.weights)
     if abs(total - 1) > tol:
@@ -303,8 +305,11 @@ def point_to_dict(point, rational=False):
 
 
 def point_from_dict(d):
-    graph = graph_from_dict(d)
-    return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
+    try:
+        graph = graph_from_dict(d)
+        return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed point: {exc}") from exc
 
 
 def load_point(path):

@@ -20,6 +20,9 @@ from fdt.graphs import make_graph
 from fdt.model import make_instance, support, verify_certificate
 from fdt.twoec import check_2ec, fdt_2ec, verify_certificate_2ec
 
+# the batches below take minutes; `pytest -m "not slow"` skips this module
+pytestmark = pytest.mark.slow
+
 
 def _acceptance(number, name):
     """Report the criterion verdict whichever way the test body exits."""

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -130,3 +131,76 @@ class TestBench:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "--instance", "/nonexistent.json",
                      "--point", "/nonexistent.json"]) == 1
+
+
+@pytest.fixture
+def triangle_setup(tmp_path):
+    inst_path = tmp_path / "tri.json"
+    inst_path.write_text(json.dumps({
+        "num_vars": 3, "kind": "binary",
+        "rows": [{"coef": {"0": 1, "1": 1}, "rhs": 1},
+                 {"coef": {"1": 1, "2": 1}, "rhs": 1},
+                 {"coef": {"0": 1, "2": 1}, "rhs": 1}],
+    }))
+    point_path = tmp_path / "x.json"
+    write_point(point_path, ["1/2", "1/2", "1/2"])
+    cert_path = tmp_path / "cert.json"
+    assert main(["solve", "--rational", "--instance", str(inst_path),
+                 "--point", str(point_path), "--out", str(cert_path)]) == 0
+    return inst_path, cert_path
+
+
+class TestVerifyInput:
+    def test_rational_certificate_checked_exactly(self, triangle_setup, capsys):
+        inst_path, cert_path = triangle_setup
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 0
+        d = json.loads(cert_path.read_text())
+        assert d["mode"] == "rational" and d["factor"] == "4/3"
+        # C*x* now falls short of the combination by 1e-7: far inside the float
+        # tolerance, but a false certificate
+        d["factor"] = str(Fraction(4, 3) - Fraction(2, 10**7))
+        cert_path.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 2
+        assert "domination fails" in capsys.readouterr().out
+
+    def test_missing_key_is_data_error(self, triangle_setup, capsys):
+        inst_path, cert_path = triangle_setup
+        d = json.loads(cert_path.read_text())
+        del d["factor"]
+        cert_path.write_text(json.dumps(d))
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 1
+        assert "malformed certificate" in capsys.readouterr().err
+
+    def test_wrong_type_is_data_error(self, triangle_setup, capsys):
+        inst_path, cert_path = triangle_setup
+        d = json.loads(cert_path.read_text())
+        d["weights"] = 3
+        cert_path.write_text(json.dumps(d))
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 1
+        assert "malformed certificate" in capsys.readouterr().err
+
+    def test_fractional_solution_entry_is_data_error(self, triangle_setup, capsys):
+        # truncating 1.9 to 1 would verify a certificate the file does not hold
+        inst_path, cert_path = triangle_setup
+        d = json.loads(cert_path.read_text())
+        d["solutions"][0] = [v + 0.9 if v else v for v in d["solutions"][0]]
+        cert_path.write_text(json.dumps(d))
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 1
+        assert "not an integer" in capsys.readouterr().err
+
+    def test_malformed_point_is_data_error(self, triangle_setup, tmp_path, capsys):
+        inst_path, cert_path = triangle_setup
+        point = tmp_path / "bad-point.json"
+        point.write_text(json.dumps({"vertices": 3}))
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--point", str(point)]) == 1
+        point.write_text(json.dumps({"value": [1, 2]}))
+        assert main(["solve", "--instance", str(inst_path),
+                     "--point", str(point)]) == 1
+        assert capsys.readouterr().err.count("malformed point") == 2

@@ -5,7 +5,7 @@ import pytest
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
-from fdt.model import Certificate
+from fdt.model import Certificate, ValidationError
 from fdt.twoec import (SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
                        floor_round, is_subtour_feasible, point_from_dict,
                        point_to_dict, separate_subtour, verify_certificate_2ec)
@@ -174,6 +174,26 @@ class TestFdt2ec:
         ok, report = verify_certificate_2ec(bad, cv8().graph)
         assert not ok
         assert any("2-edge-connected" in line for line in report)
+
+    def test_wrong_lengths_rejected(self):
+        cert = fdt_2ec(cv8())
+        graph = cv8().graph
+        short_base = Certificate(cert.factor, cert.weights, cert.solutions,
+                                 cert.base_point[:-1])
+        short_solution = Certificate(cert.factor, cert.weights,
+                                     (cert.solutions[0][:-1],) + cert.solutions[1:],
+                                     cert.base_point)
+        extra_weight = Certificate(cert.factor, cert.weights + (0.0,),
+                                   cert.solutions, cert.base_point)
+        for bad in (short_base, short_solution, extra_weight):
+            with pytest.raises(ValidationError):
+                verify_certificate_2ec(bad, graph)
+
+    def test_malformed_point_dict(self):
+        d = point_to_dict(cv8())
+        for broken in ({k: v for k, v in d.items() if k != "x"}, dict(d, x=3), [1, 2]):
+            with pytest.raises(ValidationError):
+                point_from_dict(broken)
 
     def test_point_serialization_round_trip(self):
         pt = cv8()
