@@ -1,19 +1,25 @@
-"""Fractional decomposition tree for binary IPs.
+"""Fractional decomposition tree for binary and {0,1,2} IPs.
 
-Level by level, every fractional node is split by a branching LP into a
-0-branch and a 1-branch whose weighted sum stays below the node, then the
-level is trimmed back to at most t nodes by a pruning LP whose vertex
-optimum cannot lose total mass.  Leaves are integral points dominating the
-relaxation; each is pushed down into an actual feasible solution.
+Level by level, every node not yet integral on the level's coordinate is
+split by a branching LP into one branch per value 0..cap of that coordinate
+(two branches for binary programs, three for {0,1,2} ones), each scaled by
+a multiplier, whose weighted sum stays below the node.  The level is then
+trimmed back to at most t nodes by a pruning LP whose vertex optimum cannot
+lose total mass.  Leaves are floored to integer points dominating the
+relaxation, and each is pushed down into an actual feasible solution.
+
+The level loop, the level check and the certificate assembly here are
+shared with the 2-edge-connectivity tree in ``fdt.twoec``.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip
-from .model import ZERO_TOL, Certificate, support
+from .model import ZERO_TOL, Certificate, check_integer_feasible, is_integral, support
 
 CHECK_TOL = 1e-6
 GAMMA_TOL = 1e-9
@@ -25,84 +31,112 @@ class InvariantError(AssertionError):
 
 @dataclass
 class BranchResult:
-    gamma0: object
-    gamma1: object
-    x_hat0: tuple = None  # None when the matching gamma is 0
-    x_hat1: tuple = None
+    gammas: tuple  # one multiplier per branch value 0..cap; 0 where absent
+    x_hats: tuple  # the matching scaled points, None where gamma is 0
 
     @property
     def total(self):
-        return self.gamma0 + self.gamma1
+        return sum(self.gammas)
 
 
 def branch_lpc(inst, x_prime, ell, integral_prefix=(), mode="float"):
-    """Split x' on coordinate ell into a 0-branch and a 1-branch.
+    """Split x' on coordinate ell, one branch per value 0..inst.var_upper.
 
-    Solves the two-copy branching LP, rescales each copy by its multiplier,
-    and rounds the already-branched prefix coordinates up to restore exact
-    integrality there.  Branches with zero multiplier are reported absent.
+    Solves the branching LP over the instance's rows and rescales each copy
+    by its multiplier.  The already-branched prefix coordinates keep their
+    integer values: on binary instances they are rounded up after the
+    solve, on {0,1,2} instances the LP fixes them.  Branches with zero
+    multiplier are reported absent.
+    """
+    binary = inst.var_upper == 1
+    fixed = {} if binary else {i: x_prime[i] for i in integral_prefix}
+    out, active = _branching_lp(x_prime, ell, inst.var_upper, inst.rows, (), fixed,
+                                mode)
+    return _split(out, x_prime, active, inst.var_upper, mode,
+                  prefix=integral_prefix if binary else ())
+
+
+def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
+    """Build and solve the branching LP of node x on coordinate ell;
+    returns (outcome, active coordinates).
+
+    One copy x^j of the active coordinates per value j = 0..cap, each with a
+    multiplier lambda_j: x^j satisfies every covering row scaled by lambda_j,
+    x^j <= cap * lambda_j, x^j_i >= lambda_j for pinned i, x^j_i = v *
+    lambda_j for fixed {i: v}, and x^j_ell = j * lambda_j; the copies sum to
+    at most x, and sum lambda_j <= 1 is maximised.  Columns are the copies'
+    blocks, then the multipliers.
     """
     exact = mode == "rational"
     tol = 0 if exact else ZERO_TOL
-    active = [i for i, v in enumerate(x_prime) if not _le(v, 0, tol)]
+    active = [i for i, v in enumerate(x) if v > tol]
     if ell not in active:
         raise ValueError("branch coordinate has value 0; nothing to split")
     a = len(active)
-    col = {i: k for k, i in enumerate(active)}  # x^0 block
-    L0, L1 = 2 * a, 2 * a + 1
+    arity = cap + 1
+    col = {i: k for k, i in enumerate(active)}
+    lam = [arity * a + j for j in range(arity)]
     one = Fraction(1) if exact else 1.0
 
     prob = lp.LpProblem(
-        num_cols=2 * a + 2,
-        lower=[0] * (2 * a + 2),
-        upper=[None] * (2 * a) + [one, one],
-        objective=[0] * (2 * a) + [1, 1],
+        num_cols=arity * a + arity,
+        upper=[None] * (arity * a) + [one] * arity,
+        objective=[0] * (arity * a) + [1] * arity,
         maximize=True,
     )
     prob.upper[col[ell]] = 0  # x^0_ell = 0
-    for j, lam, off in ((0, L0, 0), (1, L1, a)):
-        for row in inst.rows:
+    for j in range(arity):
+        off = j * a
+        for row in rows:
             coef = {off + col[i]: c for i, c in row.coef.items() if i in col}
-            coef[lam] = coef.get(lam, 0) - row.rhs
+            coef[lam[j]] = -row.rhs
             prob.add_row(coef, ">=", 0)
         for i in active:
-            prob.add_row({off + col[i]: 1, lam: -1}, "<=", 0)
-    prob.add_row({a + col[ell]: 1, L1: -1}, "==", 0)  # x^1_ell = lambda_1
+            prob.add_row({off + col[i]: 1, lam[j]: -cap}, "<=", 0)
+        for i in pinned:
+            prob.add_row({off + col[i]: 1, lam[j]: -1}, ">=", 0)
+        for i, v in fixed.items():
+            if i in col:
+                prob.add_row({off + col[i]: 1, lam[j]: -v}, "==", 0)
+    for j in range(1, arity):
+        prob.add_row({j * a + col[ell]: 1, lam[j]: -j}, "==", 0)  # x^j_ell = j lambda_j
     for i in active:
-        prob.add_row({col[i]: 1, a + col[i]: 1}, "<=", x_prime[i])
-    prob.add_row({L0: 1, L1: 1}, "<=", 1)
-
+        prob.add_row({j * a + col[i]: 1 for j in range(arity)}, "<=", x[i])
+    prob.add_row({lam[j]: 1 for j in range(arity)}, "<=", 1)
     out = lp.solve(prob, mode=mode)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"branching LP unexpectedly {out.status}")
-    g0, g1 = out.solution[L0], out.solution[L1]
-    if g0 + g1 <= GAMMA_TOL:
+    return out, active
+
+
+def _split(out, x, active, cap, mode, prefix=()):
+    """The BranchResult of a solved branching LP: each copy rescaled by its
+    multiplier, with the prefix coordinates rounded up to 0/1."""
+    exact = mode == "rational"
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
+    a = len(active)
+    sol = out.solution
+    gammas = tuple(g if g > GAMMA_TOL else 0 for g in sol[(cap + 1) * a:])
+    if sum(gammas) <= GAMMA_TOL:
         raise UnboundedGapOrInfeasible(
             "branching LP optimum is 0: point outside dom(P) or unbounded gap"
         )
-    res = BranchResult(gamma0=g0 if g0 > GAMMA_TOL else 0,
-                       gamma1=g1 if g1 > GAMMA_TOL else 0)
-    if res.gamma0:
-        res.x_hat0 = _scale_branch(out.solution, 0, col, res.gamma0,
-                                   len(x_prime), integral_prefix, exact)
-    if res.gamma1:
-        res.x_hat1 = _scale_branch(out.solution, a, col, res.gamma1,
-                                   len(x_prime), integral_prefix, exact)
-    return res
-
-
-def _scale_branch(sol, off, col, gamma, n, integral_prefix, exact):
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    x = [zero] * n
-    for i, k in col.items():
-        v = sol[off + k] / gamma
-        if not exact:
-            v = min(max(v, 0.0), 1.0)
-        x[i] = v
-    for i in integral_prefix:
-        x[i] = zero if _le(x[i], 0, ZERO_TOL) else one  # prefix round-up
-    return tuple(x)
+    x_hats = []
+    for j, gamma in enumerate(gammas):
+        if not gamma:
+            x_hats.append(None)
+            continue
+        xh = [zero] * len(x)
+        for k, i in enumerate(active):
+            v = sol[j * a + k] / gamma
+            if not exact:
+                v = min(max(v, 0.0), float(cap))
+            xh[i] = v
+        for i in prefix:
+            xh[i] = zero if xh[i] <= ZERO_TOL else one
+        x_hats.append(tuple(xh))
+    return BranchResult(gammas=gammas, x_hats=tuple(x_hats))
 
 
 def prune(nodes, x_star, supp=None, mode="float"):
@@ -116,7 +150,7 @@ def prune(nodes, x_star, supp=None, mode="float"):
     prob = lp.LpProblem(num_cols=len(nodes), maximize=True,
                         objective=[1] * len(nodes))
     for i in supp:
-        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if not _le(x[i], 0, ZERO_TOL)}
+        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > ZERO_TOL}
         prob.add_row(coef, "<=", x_star[i])
     out = lp.solve(prob, mode=mode)
     if out.status == lp.UNBOUNDED:
@@ -137,38 +171,50 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
     exact = mode == "rational"
     x0 = tuple(Fraction(v) if exact else float(v) for v in x_star)
     supp = support(x0)
-    t = len(supp)
     order = list(supp)
     if branch_order == "random":
         random.Random(0).shuffle(order)
     elif isinstance(branch_order, (list, tuple)):
         order = list(branch_order)
 
-    levels = _run_levels(inst, x0, order, supp, mode, check, trace)
-    return _assemble(inst, x0, levels, mode)
+    return _decompose(
+        x0, order, mode, check, trace,
+        settle=lambda x, coord: _settle(x, coord, exact),
+        branch=lambda x, depth: branch_lpc(inst, x, order[depth],
+                                           integral_prefix=order[:depth], mode=mode),
+        prune_level=lambda nodes: prune(nodes, x0, supp, mode=mode),
+        finish=lambda x: _leaf_solution(inst, x, mode),
+        name=inst.name,
+    )
 
 
-def _run_levels(inst, x0, order, supp, mode, check, trace):
+def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finish,
+               name=""):
+    """The level loop and certificate assembly shared by both trees.
+
+    At level d every node either settles on coordinate order[d] (settle
+    returns the node to carry, or None) or is split by branch(x, d) into
+    weighted children; prune_level(nodes) trims the level, which is then checked
+    and traced.  finish(x) turns each leaf into a feasible solution.
+    """
     exact = mode == "rational"
-    tol = 0 if exact else CHECK_TOL
+    t = len(support(x0))
     L = [(x0, Fraction(1) if exact else 1.0)]
     for depth, coord in enumerate(order):
         grown = []
         branch_totals = []
         for x, w in L:
-            v = x[coord]
-            if _is01(v, exact):
-                grown.append((_snap(x, (coord,), exact), w))
+            settled = settle(x, coord)
+            if settled is not None:
+                grown.append((settled, w))
                 continue
-            br = branch_lpc(inst, x, coord, integral_prefix=order[:depth], mode=mode)
+            br = branch(x, depth)
             branch_totals.append(float(br.total))
-            if br.gamma0:
-                grown.append((br.x_hat0, w * br.gamma0))
-            if br.gamma1:
-                grown.append((br.x_hat1, w * br.gamma1))
-        L, old_total, new_total = prune(grown, x0, supp, mode=mode)
+            grown.extend((xh, w * g) for g, xh in zip(br.gammas, br.x_hats) if g)
+        L, old_total, new_total = prune_level(grown)
         if check:
-            _check_level(L, x0, order[: depth + 1], len(supp), old_total, new_total, tol)
+            _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
+                         0 if exact else CHECK_TOL)
         if trace is not None:
             trace.append({
                 "level": depth + 1, "coordinate": coord,
@@ -176,26 +222,18 @@ def _run_levels(inst, x0, order, supp, mode, check, trace):
                 "pre_prune_mass": float(old_total), "mass": float(new_total),
                 "branch_totals": branch_totals,
             })
-    return L
 
-
-def _assemble(inst, x0, leaves, mode):
-    exact = mode == "rational"
-    solutions, weights = [], []
-    for x, w in leaves:
-        xi = [int(round(float(v))) for v in x]
-        solutions.append(tuple(dom_to_ip(inst, xi, mode=mode)))
-        weights.append(w)
-    total = sum(weights)
+    solutions = tuple(tuple(finish(x)) for x, _ in L)
+    total = sum(w for _, w in L)
     if total <= 0:
         raise UnboundedGapOrInfeasible("no leaf mass survived")
     factor = (Fraction(1) / total) if exact else 1.0 / total
     return Certificate(
         factor=factor,
-        weights=tuple(w * factor for w in weights),
-        solutions=tuple(solutions),
+        weights=tuple(w * factor for _, w in L),
+        solutions=solutions,
         base_point=x0,
-        name=inst.name,
+        name=name,
     )
 
 
@@ -206,16 +244,55 @@ def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
     y = tuple(Fraction(v) if exact else float(v) for v in x_star)
     order = support(y)
     for depth, coord in enumerate(order):
-        if _is01(y[coord], exact):
-            y = _snap(y, (coord,), exact)
+        settled = _settle(y, coord, exact)
+        if settled is not None:
+            y = settled
             continue
         br = branch_lpc(inst, y, coord, integral_prefix=order[:depth], mode=mode)
-        p0 = br.gamma0 / br.total
-        took0 = rng.random() < p0
+        j = _pick(br.gammas, rng.random())
         if trace is not None:
-            trace.append({"coordinate": coord, "p0": float(p0), "branch": 0 if took0 else 1})
-        y = br.x_hat0 if took0 else br.x_hat1
-    return dom_to_ip(inst, [int(round(float(v))) for v in y], mode=mode)
+            trace.append({"coordinate": coord, "p0": float(br.gammas[0] / br.total),
+                          "branch": j})
+        y = br.x_hats[j]
+    return _leaf_solution(inst, y, mode)
+
+
+def _pick(gammas, u):
+    """The branch a uniform draw u in [0, 1) lands in; branch j has
+    probability gamma_j / total."""
+    total, acc = sum(gammas), 0
+    for j, g in enumerate(gammas):
+        acc += g
+        if u < acc / total:
+            return j
+
+
+def _leaf_solution(inst, x, mode):
+    """Floor a leaf and push it down to a feasible solution with dom_to_ip.
+
+    A leaf lies in the relaxation, so a floored leaf that misses a row means
+    an invariant broke, not that the gap is unbounded.
+    """
+    z = floor_round(x, 0 if mode == "rational" else CHECK_TOL)
+    ok, report = check_integer_feasible(z, inst)
+    if not ok:
+        raise InvariantError(f"floored leaf is infeasible: {report[0]}")
+    return dom_to_ip(inst, z, mode=mode)
+
+
+def floor_round(x, tol=ZERO_TOL):
+    """Floor a leaf point to multiplicities, capping at 2.
+
+    Every coordinate must already be 0 or >= 1; a value strictly inside
+    (0, 1) means an upstream invariant broke.
+    """
+    out = []
+    for i, v in enumerate(x):
+        f = float(v)
+        if tol < f < 1 - tol:
+            raise InvariantError(f"leaf coordinate {i} = {f} is in (0, 1)")
+        out.append(min(2, math.floor(f + tol)))
+    return tuple(out)
 
 
 def _check_level(L, x_star, branched, t, old_total, new_total, tol):
@@ -225,35 +302,22 @@ def _check_level(L, x_star, branched, t, old_total, new_total, tol):
         raise InvariantError(
             f"prune lost mass: {float(old_total)} -> {float(new_total)}"
         )
-    n = len(x_star)
-    comb = [0] * n
-    for x, w in L:
+    for x, _ in L:
         for i in branched:
-            if abs(float(x[i])) > tol and abs(float(x[i]) - 1) > tol:
-                raise InvariantError(f"coordinate {i} not integral: {x[i]}")
-        for i in range(n):
-            comb[i] += w * x[i]
-    for i in range(n):
-        if comb[i] > x_star[i] + tol:
+            if tol < float(x[i]) < 1 - tol:
+                raise InvariantError(f"coordinate {i} has value {float(x[i])} in (0, 1)")
+    for i, bound in enumerate(x_star):
+        mass = sum(w * x[i] for x, w in L)
+        if mass > bound + tol:
             raise InvariantError(
-                f"mass exceeds base point at {i}: {float(comb[i])} > {float(x_star[i])}"
+                f"mass exceeds base point at {i}: {float(mass)} > {float(bound)}"
             )
 
 
-def _le(a, b, tol):
-    return a <= b + tol
-
-
-def _is01(v, exact):
-    if exact:
-        return v == 0 or v == 1
-    return abs(v) <= ZERO_TOL or abs(v - 1) <= ZERO_TOL
-
-
-def _snap(x, coords, exact):
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    x = list(x)
-    for c in coords:
-        x[c] = zero if abs(float(x[c])) <= ZERO_TOL else one
-    return tuple(x)
+def _settle(x, coord, exact):
+    """x with coordinate coord snapped to its integer value, or None while
+    it is fractional there."""
+    if not is_integral(x[coord], ZERO_TOL):
+        return None
+    v = round(x[coord])
+    return x[:coord] + (Fraction(v) if exact else float(v),) + x[coord + 1:]

@@ -14,17 +14,15 @@ from fractions import Fraction
 
 import networkx as nx
 
-from . import lp
 from .binary import fdt_dive, fdt_tree
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractional
 from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
                           run_tap_experiment, run_vc_experiment)
-from .generators import (CvGenerationError, enumerate_cv, gen_cv, gen_tap,
-                         gen_vc, read_pace_graph)
+from .generators import enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph
 from .graphs import make_graph
-from .model import (ValidationError, as_fraction, certificate_to_dict, is_integral,
-                    load_certificate, load_instance, save_instance,
-                    verify_certificate)
+from .model import (ValidationError, as_fraction, certificate_to_dict,
+                    instance_to_dict, is_integral, load_certificate,
+                    load_instance, save_instance, verify_certificate)
 from .twoec import (SubtourPoint, fdt_2ec, load_point, save_point,
                     verify_certificate_2ec)
 
@@ -180,7 +178,6 @@ def _emit_instance(inst, args):
     if args.out:
         save_instance(inst, args.out, rational=args.rational)
     else:
-        from .model import instance_to_dict
         print(json.dumps(instance_to_dict(inst, rational=False), indent=1))
 
 
@@ -233,8 +230,6 @@ def _common(p, suppress):
                    default=d if suppress else False,
                    help="exact rational arithmetic throughout")
     p.add_argument("--seed", type=int, default=d if suppress else 0)
-    p.add_argument("--jobs", type=int, default=d if suppress else 1,
-                   help="reserved; runs are sequential")
     p.add_argument("--out", default=d,
                    help="output path (or prefix for benchmarks)")
 

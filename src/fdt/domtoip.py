@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from . import lp
-from .model import ZERO_TOL, is_integral, support
+from .model import ZERO_TOL, check_integer_feasible, is_integral, is_zero, support
 
 
 class UnboundedGapOrInfeasible(RuntimeError):
@@ -30,7 +30,7 @@ def helper_lp(inst, x_cur, finalized, target, mode="float"):
     for j in finalized:
         lower[j] = x_cur[j]
     # zero-capped columns are fixed at 0 and dropped from the LP outright
-    active = [j for j in range(inst.num_vars) if not _is_zero(upper[j], exact)]
+    active = [j for j in range(inst.num_vars) if not is_zero(upper[j])]
     col_of = {j: k for k, j in enumerate(active)}
     prob = lp.LpProblem(
         num_cols=len(active),
@@ -85,8 +85,6 @@ def dom_to_ip(inst, x_tilde, mode="float"):
                          math.ceil(float(out.objective) - ZERO_TOL))
             x[target] = Fraction(pinned) if exact else float(pinned)
         finalized.append(target)
-    from .model import check_integer_feasible
-
     ok, report = check_integer_feasible(x, inst)
     if not ok:
         if not exact:
@@ -101,10 +99,6 @@ def dom_to_ip_from_fractional(inst, x, mode="float"):
     """Round a relaxation point up to dom(P) and run the main routine."""
     ceil = [min(inst.var_upper, math.ceil(float(v) - ZERO_TOL)) for v in x]
     return dom_to_ip(inst, [max(0, v) for v in ceil], mode=mode)
-
-
-def _is_zero(v, exact):
-    return v == 0 if exact else abs(v) <= ZERO_TOL
 
 
 def _is_zero_objective(v, exact):

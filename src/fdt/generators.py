@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .graphs import Graph, GraphError, make_graph
-from .model import BINARY, IpInstance, make_instance
+from .model import BINARY, make_instance
 from .twoec import SubtourPoint, separate_subtour
 
 FRACTIONAL_TOL = 1e-9

@@ -9,7 +9,7 @@ backend.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO_TOL = 1e-9
@@ -187,7 +187,8 @@ def check_integer_feasible(z, inst, tol=ZERO_TOL):
     """Is z an integer-feasible point of the instance?
 
     Returns (ok, report) where report lists the violated rows / domain
-    entries.  A non-integral z is a caller error and raises.
+    entries; a row may fall short of its right-hand side by at most tol
+    (tol=0 checks exactly).  A non-integral z is a caller error and raises.
     """
     if len(z) != inst.num_vars:
         raise ValidationError(f"point has length {len(z)}, expected {inst.num_vars}")
@@ -200,7 +201,7 @@ def check_integer_feasible(z, inst, tol=ZERO_TOL):
         if not (0 <= v <= inst.var_upper):
             report.append(f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}")
     for k, row in enumerate(inst.rows):
-        if row.value(zi) < row.rhs - Fraction(1, 10**9):
+        if row.slack(zi) < -tol:
             report.append(f"row {k} violated: {float(row.value(zi)):g} < {float(row.rhs):g}")
     return not report, report
 
@@ -220,27 +221,8 @@ class Certificate:
         return len(self.weights)
 
     def combination(self):
-        n = len(self.base_point)
-        out = [0] * n
-        for w, z in zip(self.weights, self.solutions):
-            for i in range(n):
-                out[i] = out[i] + w * z[i]
-        return out
-
-    def cheapest(self, objective):
-        return min(self.solutions, key=lambda z: sum(c * v for c, v in zip(objective, z)))
-
-
-def check_dimensions(cert, n):
-    """Raise ValidationError unless the base point and every solution have
-    length n and there is one weight per solution."""
-    if len(cert.base_point) != n:
-        raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
-    if len(cert.weights) != len(cert.solutions):
-        raise ValidationError("weights and solutions have different lengths")
-    for z in cert.solutions:
-        if len(z) != n:
-            raise ValidationError("solution with wrong dimension")
+        return [sum(w * z[i] for w, z in zip(self.weights, self.solutions))
+                for i in range(len(self.base_point))]
 
 
 def verify_certificate(cert, inst, tol=1e-6):
@@ -249,10 +231,27 @@ def verify_certificate(cert, inst, tol=1e-6):
     Returns (ok, report); the report names every failed check.  With exact
     rational data, pass tol=0.
     """
-    report = []
-    n = inst.num_vars
-    check_dimensions(cert, n)
+    def infeasibility(z):
+        ok, sub = check_integer_feasible(z, inst, tol)
+        return None if ok else f"infeasible: {sub[0]}"
 
+    return verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility, tol)
+
+
+def verify_solutions(cert, n, cap, infeasibility, tol):
+    """The certificate checks shared by every verifier: weights are
+    nonnegative and sum to 1, no solution is infeasible (infeasibility(z)
+    names the problem, or returns None), the combination is dominated by
+    min(C * x*, cap), and k <= |spp(x*)|.  Returns (ok, report); raises
+    ValidationError unless every vector has length n and there is one
+    weight per solution."""
+    if len(cert.base_point) != n:
+        raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
+    if len(cert.weights) != len(cert.solutions):
+        raise ValidationError("weights and solutions have different lengths")
+    if any(len(z) != n for z in cert.solutions):
+        raise ValidationError("solution with wrong dimension")
+    report = []
     total = sum(cert.weights)
     if abs(total - 1) > tol:
         report.append(f"weights: sum is {float(total):.9g}, expected 1")
@@ -260,12 +259,11 @@ def verify_certificate(cert, inst, tol=1e-6):
         report.append("weights: negative weight")
 
     for idx, z in enumerate(cert.solutions):
-        ok, sub = check_integer_feasible(z, inst)
-        if not ok:
-            report.append(f"solution {idx} infeasible: {sub[0]}")
+        problem = infeasibility(z)
+        if problem is not None:
+            report.append(f"solution {idx} {problem}")
 
     comb = cert.combination()
-    cap = inst.var_upper
     for i in range(n):
         bound = min(cert.factor * cert.base_point[i], cap)
         if comb[i] > bound + tol:

@@ -239,7 +239,7 @@ def test_criterion_9_dive():
         assert fdt_dive(inst, x, seed=seed) == fdt_dive(inst, x, seed=seed)
 
     br = branch_lpc(inst, x, 0, mode="float")
-    p0 = float(br.gamma0 / br.total)
+    p0 = float(br.gammas[0] / br.total)
     n = 2000
     count0 = 0
     for seed in range(n):

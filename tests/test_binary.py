@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from fdt import lp
-from fdt.binary import (InvariantError, branch_lpc, fdt_dive, fdt_tree, prune)
+from fdt.binary import (InvariantError, _leaf_solution, branch_lpc, fdt_dive,
+                        fdt_tree, prune)
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import make_graph
 from fdt.generators import gen_vc
-from fdt.model import make_instance, support, verify_certificate
+from fdt.model import ZEROONETWO, make_instance, support, verify_certificate
 
 HALF = Fraction(1, 2)
 
@@ -22,20 +23,19 @@ class TestBranchLpc:
         # frozen against an independent dense formulation of the same LP
         br = branch_lpc(triangle(), [HALF] * 3, 0, mode="rational")
         assert br.total == Fraction(3, 4)
-        assert br.gamma0 == Fraction(1, 4)
-        assert br.gamma1 == Fraction(1, 2)
+        assert br.gammas == (Fraction(1, 4), Fraction(1, 2))
 
     def test_branch_points_dominated_and_split(self):
         x = [HALF] * 3
         br = branch_lpc(triangle(), x, 0, mode="rational")
-        assert br.x_hat0[0] == 0 and br.x_hat1[0] == 1
+        assert br.x_hats[0][0] == 0 and br.x_hats[1][0] == 1
         for i in range(3):
-            got = br.gamma0 * br.x_hat0[i] + br.gamma1 * br.x_hat1[i]
+            got = br.gammas[0] * br.x_hats[0][i] + br.gammas[1] * br.x_hats[1][i]
             assert got <= x[i]
 
     def test_branch_points_stay_in_relaxation_scaled(self):
         br = branch_lpc(triangle(), [HALF] * 3, 1, mode="rational")
-        for xh in (br.x_hat0, br.x_hat1):
+        for xh in br.x_hats:
             for row in triangle().rows:
                 assert row.value(xh) >= row.rhs
 
@@ -44,7 +44,7 @@ class TestBranchLpc:
         # prefix list restores exact integrality
         br = branch_lpc(triangle(), (1, HALF, HALF), 1,
                         integral_prefix=[0], mode="rational")
-        for xh in (br.x_hat0, br.x_hat1):
+        for xh in br.x_hats:
             if xh is not None:
                 assert xh[0] in (0, 1)
 
@@ -186,3 +186,56 @@ class TestFdtDive:
         assert trace[0]["coordinate"] == 0
         assert trace[0]["p0"] == pytest.approx(1 / 3)  # gamma = (1/4, 1/2)
         assert trace[0]["branch"] in (0, 1)
+
+
+class TestZeroOneTwo:
+    """x0 + x1 >= 3 over {0,1,2}: x* = (3/2, 3/2) is the average of (1, 2)
+    and (2, 1), so the three-way tree certifies C = 1."""
+
+    def inst(self):
+        return make_instance(2, [({0: 1, 1: 1}, 3)], kind=ZEROONETWO)
+
+    def test_branch_is_three_way(self):
+        br = branch_lpc(self.inst(), [Fraction(3, 2)] * 2, 0, mode="rational")
+        assert len(br.gammas) == 3
+        assert br.total == 1
+        assert br.x_hats[1] == (1, 2) and br.x_hats[2] == (2, 1)
+
+    def test_tree_certifies_factor_one_exactly(self):
+        inst = self.inst()
+        cert = fdt_tree(inst, [Fraction(3, 2)] * 2, mode="rational")
+        assert cert.factor == 1
+        assert sorted(cert.solutions) == [(1, 2), (2, 1)]
+        ok, report = verify_certificate(cert, inst, tol=0)
+        assert ok, report
+
+    def test_tree_float_mode_verifies(self):
+        inst = self.inst()
+        cert = fdt_tree(inst, [1.5, 1.5], mode="float")
+        assert float(cert.factor) == pytest.approx(1.0)
+        ok, report = verify_certificate(cert, inst)
+        assert ok, report
+
+    def test_dive_reaches_a_feasible_solution(self):
+        inst = self.inst()
+        for seed in range(6):
+            for x in ([Fraction(3, 2)] * 2, [1.5, 1.5]):
+                mode = "rational" if isinstance(x[0], Fraction) else "float"
+                z = fdt_dive(inst, x, seed=seed, mode=mode)
+                assert sorted(z) == [1, 2]
+
+    def test_branched_coordinates_stay_integral(self):
+        # coordinate 0 settles at 1 on level 1; the level-2 branch on x2 may
+        # not move it to 3/2, or the 0-branch's floored leaf (1, 0, 0) would
+        # miss 2 x0 + 2 x2 >= 3
+        inst = make_instance(3, [({0: 1, 1: 1}, 1), ({0: 2, 2: 2}, 3)],
+                             kind=ZEROONETWO)
+        cert = fdt_tree(inst, [1, 0, HALF], mode="rational")
+        ok, report = verify_certificate(cert, inst, tol=0)
+        assert ok, report
+
+    def test_infeasible_floored_leaf_is_an_invariant_error(self):
+        # (3/2, 3/2) floors to (1, 1), which misses the row: a leaf should
+        # never look like this, so no gap claim is made
+        with pytest.raises(InvariantError):
+            _leaf_solution(self.inst(), (Fraction(3, 2),) * 2, "rational")

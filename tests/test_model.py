@@ -108,6 +108,15 @@ class TestFeasibility:
         ok, report = check_integer_feasible([2, 1, 1], triangle_vc())
         assert not ok and "coordinate 0" in report[0]
 
+    def test_exact_row_check_at_tol_zero(self):
+        tiny = Fraction(1, 10**10)
+        inst = make_instance(1, [({0: tiny}, tiny)])
+        ok, report = check_integer_feasible((0,), inst, tol=0)
+        assert not ok and "row 0" in report[0]
+        cert = Certificate(1, (1,), ((0,),), (1,))
+        ok, report = verify_certificate(cert, inst, tol=0)
+        assert not ok and any("infeasible" in line for line in report)
+
     def test_fractional_point_is_caller_error(self):
         with pytest.raises(ValidationError):
             check_integer_feasible([0.5, 1, 1], triangle_vc())
@@ -128,10 +137,9 @@ class TestCertificate:
         ok, report = verify_certificate(self.make_cert(), triangle_vc(), tol=0)
         assert ok, report
 
-    def test_combination_and_cheapest(self):
+    def test_combination(self):
         cert = self.make_cert()
         assert cert.combination() == [Fraction(2, 3)] * 3
-        assert cert.cheapest([1, 1, 5]) == (1, 1, 0)
 
     def test_tampered_weights_named(self):
         cert = self.make_cert()

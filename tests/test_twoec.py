@@ -175,6 +175,14 @@ class TestFdt2ec:
         assert not ok
         assert any("2-edge-connected" in line for line in report)
 
+    def test_negative_weight_rejected(self):
+        # the 8-cycle twice, weighted 3/2 and -1/2: every other check passes
+        cycle = (1,) * 8 + (0,) * 4
+        bad = Certificate(4.0, (1.5, -0.5), (cycle, cycle), cv8().x)
+        ok, report = verify_certificate_2ec(bad, cv8().graph)
+        assert not ok
+        assert report == ["weights: negative weight"]
+
     def test_wrong_lengths_rejected(self):
         cert = fdt_2ec(cv8())
         graph = cv8().graph
