@@ -1,8 +1,8 @@
 """Small multigraph type plus weighted global minimum cut."""
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 
 class GraphError(ValueError):
@@ -49,28 +49,105 @@ def make_graph(num_vertices, edges, require_connected=True):
 def is_connected(graph):
     if graph.num_vertices <= 1:
         return True
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(graph.num_vertices))
-    nxg.add_edges_from(graph.edges)
-    return nx.is_connected(nxg)
+    adj = [[] for _ in range(graph.num_vertices)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return len(_reachable(adj, 0)) == graph.num_vertices
+
+
+def _reachable(adj, source):
+    """The vertices reachable from source; adj maps a vertex to its neighbours."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def global_min_cut(graph, weights):
     """(cut value, one side) of the minimum weighted cut; parallel edge
-    weights are summed.  Stoer-Wagner; exact when weights are Fractions."""
-    if graph.num_vertices < 2:
+    weights are summed.  Stoer-Wagner; exact when weights are Fractions.
+
+    A disconnected graph has value 0 and the side holding vertex 0.
+    Otherwise this is networkx.stoer_wagner step for step -- its node and
+    neighbour orders, heap tie-breaks, summation order and side recovery --
+    so it returns the same value and the same side.
+    """
+    n = graph.num_vertices
+    if n < 2:
         raise GraphError("minimum cut needs at least two vertices")
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(graph.num_vertices))
+    # summed capacities; each neighbour sits where its first edge put it
+    adj = [{} for _ in range(n)]
     for (u, v), w in zip(graph.edges, weights):
         if w < 0:  # roundoff from an LP solution; capacities cannot be negative
             w = 0 * w
-        if nxg.has_edge(u, v):
-            nxg[u][v]["weight"] += w
-        else:
-            nxg.add_edge(u, v, weight=w)
-    value, (side, _) = nx.stoer_wagner(nxg)
-    return value, frozenset(side)
+        adj[u][v] = adj[v][u] = adj[u][v] + w if v in adj[u] else w
+    side = _reachable(adj, 0)
+    if len(side) < n:
+        return 0, frozenset(side)
+
+    # networkx's working copy: nodes and neighbours in edge-iteration order
+    G = {}
+    for u in range(n):
+        for v, w in adj[u].items():
+            if v > u:
+                G.setdefault(u, {})[v] = w
+                G.setdefault(v, {})[u] = w
+
+    cut_value = float("inf")
+    contractions = []
+    for i in range(n - 1):
+        # a phase: grow A from the first node, always adding the node most
+        # tightly connected to it (a min-heap of negated connectivities whose
+        # stale entries are skipped)
+        u = next(iter(G))
+        in_a = {u}
+        heap, key_of, tick = [], {}, count()
+        for v, w in G[u].items():
+            key_of[v] = -w
+            heappush(heap, (-w, next(tick), v))
+        for _ in range(n - i - 2):
+            while True:
+                value, _, u = heappop(heap)
+                if u in key_of and value == key_of[u]:
+                    break
+            del key_of[u]
+            in_a.add(u)
+            for v, w in G[u].items():
+                if v not in in_a:
+                    value = key_of.get(v, 0) - w
+                    if v not in key_of or value < key_of[v]:
+                        key_of[v] = value
+                        heappush(heap, (value, next(tick), v))
+        while True:
+            value, _, v = heap[0]
+            if v in key_of and value == key_of[v]:
+                break
+            heappop(heap)
+        w = -value
+        if w < cut_value:
+            cut_value = w
+            best_phase = i
+        # contract v into u, the last node added to A
+        contractions.append((u, v))
+        Gu = G[u]
+        for x, w in G[v].items():
+            if x != u:
+                Gu[x] = G[x][u] = Gu[x] + w if x in Gu else w
+        for x in G.pop(v):
+            del G[x][v]
+
+    # the side: what the first best_phase contractions merged into its v
+    v = contractions[best_phase][1]
+    merged = {v: []}
+    for a, b in contractions[:best_phase]:
+        merged.setdefault(a, []).append(b)
+        merged.setdefault(b, []).append(a)
+    return cut_value, frozenset(_reachable(merged, v))
 
 
 def graph_to_dict(graph):

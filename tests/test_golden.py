@@ -1,11 +1,21 @@
-"""Golden outputs of the exact simplex and of the rational tree.
+"""Golden outputs of the exact simplex, the rational tree and the float 2EC tree.
 
 Bland's rule fixes the pivot sequence, so the exact simplex must return the
 same vertex, basis and duals however its arithmetic is organised, and the
 rational tree built on it must return the same certificates.  The expected
 values in golden_rational.json were recorded from the dense-pivot simplex
-that preceded the sparse one.  Regenerate them (``PYTHONPATH=src python tests/test_golden.py``)
-only when a change of pivot rule is intended.
+that preceded the sparse one.
+
+golden_float_2ec.json pins the float 2EC tree on cv8() and four seeded
+cycle points.  Its certificates depend on which optimal vertex HiGHS returns
+for each degenerate branching LP and on which side the min-cut separator
+reports, so any change to the float LP model, the solver options or the cut
+order that moves a vertex shows up here.  It was recorded through
+scipy.optimize.linprog and networkx.stoer_wagner, before fdt called HiGHS and
+ran Stoer-Wagner itself.
+
+Regenerate both files (``PYTHONPATH=src python tests/test_golden.py``) only
+when a change of pivot rule, LP model or cut order is intended.
 """
 
 import json
@@ -19,13 +29,16 @@ import pytest
 from fdt import lp
 from fdt.binary import fdt_tree
 from fdt.experiments import _solve_relaxation
-from fdt.generators import gen_vc
+from fdt.generators import gen_cv, gen_vc
 from fdt.graphs import make_graph
 from fdt.model import certificate_to_dict
 from fdt.simplex import solve_rational
+from fdt.twoec import fdt_2ec
 from test_simplex import prob
+from test_twoec import cv8
 
 GOLDEN = Path(__file__).with_name("golden_rational.json")
+GOLDEN_2EC = Path(__file__).with_name("golden_float_2ec.json")
 
 
 def _random_lp(rng):
@@ -119,6 +132,20 @@ def golden_graphs():
     ]
 
 
+def golden_points():
+    """(name, point) pairs for the float 2EC tree: cv8 and four seeded
+    gen_cv points (the seed is the first that gives a fractional point)."""
+    cases = [
+        (10, ((0, 2), (1, 5), (3, 7), (4, 8), (6, 9)), 1),
+        (10, ((0, 3), (1, 6), (2, 7), (4, 8), (5, 9)), 0),
+        (12, ((0, 2), (1, 4), (3, 8), (5, 9), (6, 10), (7, 11)), 0),
+        (12, ((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11)), 0),
+    ]
+    return [("cv8", cv8())] + [
+        (f"cv{k}-{i}", gen_cv(k, matching, seed=seed).point)
+        for i, (k, matching, seed) in enumerate(cases)]
+
+
 def _fmt(v):
     return None if v is None else str(v)
 
@@ -140,8 +167,17 @@ def certificate_record(graph):
     return certificate_to_dict(fdt_tree(inst, x, mode="rational"))
 
 
-def _load():
-    with open(GOLDEN) as fh:
+def float_2ec_record(point):
+    cert = fdt_2ec(point, mode="float")
+    return {
+        "factor": round(cert.factor, 9),
+        "solutions": [[int(m) for m in z] for z in cert.solutions],
+        "weights": [round(w, 9) for w in cert.weights],
+    }
+
+
+def _load(path=GOLDEN):
+    with open(path) as fh:
         return json.load(fh)
 
 
@@ -157,11 +193,21 @@ def test_rational_tree_matches_golden(name, graph):
     assert certificate_record(graph) == _load()["certificates"][name]
 
 
-if __name__ == "__main__":
-    data = {
-        "simplex": {name: simplex_record(p) for name, p in golden_problems()},
-        "certificates": {name: certificate_record(g) for name, g in golden_graphs()},
-    }
-    with open(GOLDEN, "w") as fh:
+@pytest.mark.parametrize("name,point", golden_points(),
+                         ids=[name for name, _ in golden_points()])
+def test_float_2ec_tree_matches_golden(name, point):
+    assert float_2ec_record(point) == _load(GOLDEN_2EC)[name]
+
+
+def _write(path, data):
+    with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+if __name__ == "__main__":
+    _write(GOLDEN, {
+        "simplex": {name: simplex_record(p) for name, p in golden_problems()},
+        "certificates": {name: certificate_record(g) for name, g in golden_graphs()},
+    })
+    _write(GOLDEN_2EC, {name: float_2ec_record(p) for name, p in golden_points()})
