@@ -226,7 +226,8 @@ class Certificate:
 
 
 def verify_certificate(cert, inst, tol=1e-6):
-    """Check the four certificate invariants against an instance.
+    """Check the premise x* in P and the four certificate invariants against
+    an instance.
 
     Returns (ok, report); the report names every failed check.  With exact
     rational data, pass tol=0.
@@ -235,23 +236,31 @@ def verify_certificate(cert, inst, tol=1e-6):
         ok, sub = check_integer_feasible(z, inst, tol)
         return None if ok else f"infeasible: {sub[0]}"
 
-    return verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility, tol)
+    def violations(x):
+        return [f"base point violates row {k}: {float(row.value(x)):.9g} < {float(row.rhs):.9g}"
+                for k, row in enumerate(inst.rows) if row.slack(x) < -tol]
+
+    return verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
+                            violations, tol)
 
 
-def verify_solutions(cert, n, cap, infeasibility, tol):
-    """The certificate checks shared by every verifier: weights are
-    nonnegative and sum to 1, no solution is infeasible (infeasibility(z)
-    names the problem, or returns None), the combination is dominated by
-    min(C * x*, cap), and k <= |spp(x*)|.  Returns (ok, report); raises
-    ValidationError unless every vector has length n and there is one
-    weight per solution."""
+def verify_solutions(cert, n, cap, infeasibility, violations, tol):
+    """The certificate checks shared by every verifier: the base point x*
+    lies in [0, cap]^n and violations(x*) lists the relaxation constraints
+    it breaks (none, when x* is in P), weights are nonnegative and sum to 1,
+    no solution is infeasible (infeasibility(z) names the problem, or
+    returns None), the combination is dominated by min(C * x*, cap), and
+    k <= |spp(x*)|.  Returns (ok, report); raises ValidationError unless
+    every vector has length n and there is one weight per solution."""
     if len(cert.base_point) != n:
         raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
     if len(cert.weights) != len(cert.solutions):
         raise ValidationError("weights and solutions have different lengths")
     if any(len(z) != n for z in cert.solutions):
         raise ValidationError("solution with wrong dimension")
-    report = []
+    report = [f"base point: coordinate {i} = {float(v):.9g} outside [0, {cap}]"
+              for i, v in enumerate(cert.base_point) if v < -tol or v > cap + tol]
+    report.extend(violations(cert.base_point))
     total = sum(cert.weights)
     if abs(total - 1) > tol:
         report.append(f"weights: sum is {float(total):.9g}, expected 1")

@@ -5,18 +5,29 @@ any float solver, but every optimum it returns is an exact vertex of the
 feasible region, which the pruning step downstream relies on.  Intended for
 small problems (a few hundred nonzeros); the float backend handles the rest.
 
-Fraction arithmetic dominates the cost, so the loop does as little of it as
-it can.  A pivot scales the pivot row, collects its nonzeros as (column,
-value) pairs and updates each other row with a nonzero in the entering
-column over those columns only.  The reduced-cost row is computed once per
-phase and then carried across pivots with the same pairs,
-``d[j] -= d[e] * row_r[j]``; a bound flip leaves it as it is.  In exact
-arithmetic the carried row equals the recomputed one, so Bland's rule makes
-the same choices, and the vertex, basis and duals do not depend on this
-bookkeeping.
+The tableau holds no fractions.  Each row is a list of Python ints N plus
+one positive int denominator D, so that entry j of the row is N[j] / D
+exactly; the entry past the last column holds the row's basic value the
+same way.  A pivot on (r, e) flips row r's sign so that N_r[e] = P > 0 and
+divides it by its gcd; every other row with N_i[e] != 0 becomes
+N_i * P - N_i[e] * N_r over D_i * P, the subtraction running over row r's
+nonzeros only, and is then divided by its gcd (fraction-free elimination,
+Edmonds 1967).  The reduced-cost row is computed once per phase and carried
+across pivots by the same elimination.  Each column is first scaled by the
+least common denominator of its bounds, so that bounds, bound flips and
+ratio-test numerators are ints too; scaling column e by s > 0 multiplies
+every ratio of that pivot step by the same s and keeps every sign, so it
+changes no comparison.
+
+Bland's rule therefore reads the same signs and makes the same
+comparisons as a Fraction tableau would, and the pivot sequence, vertex,
+basis and duals are those of the Fraction simplex.  Fractions appear only
+at the edges: reading the problem, and returning values, objective and
+duals.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 MAX_ITER = 200_000
 
@@ -26,111 +37,175 @@ class CyclingError(RuntimeError):
 
 
 def _to_equality_form(problem):
-    """Append one slack column per inequality row; returns (A, b, lo, hi, c)."""
+    """The problem as integer rows over integer-bounded columns.
+
+    Structural column j is scaled by scale[j], the least common denominator
+    of its bounds; one slack column (scale 1) is appended per inequality
+    row.  Returns (rows, lo, hi, cost, scale, ncol): rows[k] is
+    (coef, rhs, den), a dict {column: int} and two ints with the row's scaled
+    coefficients coef / den and right-hand side rhs / den; lo and hi are
+    scaled int bounds (hi None when infinite); cost is (ints, denominator).
+    """
     n = problem.num_cols
-    lo = [Fraction(v) for v in problem.lower]
-    hi = [None if v is None else Fraction(v) for v in problem.upper]
-    c = [Fraction(v) for v in problem.objective]
-    if problem.maximize:
-        c = [-v for v in c]
+    lo = [None if v is None else _rational(v) for v in problem.lower]
+    hi = [None if v is None else _rational(v) for v in problem.upper]
+    if any(v is None for v in lo):
+        raise ValueError("finite lower bounds required")
+    if any(h is not None and h < l for l, h in zip(lo, hi)):
+        raise ValueError("upper bound below lower bound")
+    scale = [l.denominator if h is None else lcm(l.denominator, h.denominator)
+             for l, h in zip(lo, hi)]
+    lo = [l.numerator * (s // l.denominator) for l, s in zip(lo, scale)]
+    hi = [None if h is None else h.numerator * (s // h.denominator)
+          for h, s in zip(hi, scale)]
+    sign = -1 if problem.maximize else 1
+    cost = [(sign * v.numerator, v.denominator * s)
+            for v, s in zip(map(_rational, problem.objective), scale)]
+
     rows = []
-    b = []
     ncol = n
     for coef, sense, rhs in problem.rows:
-        row = {int(i): Fraction(v) for i, v in coef.items() if Fraction(v) != 0}
-        rhs = Fraction(rhs)
-        if sense == ">=":
-            row[ncol] = Fraction(-1)
-        elif sense == "<=":
-            row[ncol] = Fraction(1)
-        elif sense in ("==", "="):
-            ncol -= 1  # no slack
-        else:
-            raise ValueError(f"unknown sense {sense!r}")
+        cols, ratios = [], []
+        for i, v in coef.items():
+            v = _rational(v)
+            if v:
+                i = int(i)
+                cols.append(i)
+                ratios.append((v.numerator, v.denominator * scale[i]))
         if sense in (">=", "<="):
-            lo.append(Fraction(0))
+            cols.append(ncol)
+            ratios.append((-1 if sense == ">=" else 1, 1))
+            lo.append(0)
             hi.append(None)
-            c.append(Fraction(0))
-        ncol += 1
-        rows.append(row)
-        b.append(rhs)
-    for v in lo:
-        if v is None:
-            raise ValueError("finite lower bounds required")
-    for l, h in zip(lo, hi):
-        if h is not None and h < l:
-            raise ValueError("upper bound below lower bound")
-    return rows, b, lo, hi, c, ncol
+            cost.append((0, 1))
+            scale.append(1)
+            ncol += 1
+        elif sense not in ("==", "="):
+            raise ValueError(f"unknown sense {sense!r}")
+        rhs = _rational(rhs)
+        ratios.append((rhs.numerator, rhs.denominator))
+        nums, den = _common_denominator(ratios)
+        rows.append((dict(zip(cols, nums)), nums[-1], den))
+    return rows, lo, hi, _common_denominator(cost), scale, ncol
+
+
+def _rational(v):
+    """v exactly, as an int or a Fraction (both have numerator and denominator)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _common_denominator(ratios):
+    """The rationals num / den of ratios as ints over one positive
+    denominator, in lowest terms: (ints, denominator)."""
+    den = lcm(*(d for _, d in ratios))
+    nums = [num * (den // d) for num, d in ratios]
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g
+
+
+def _eliminate(row, den, e, nz, p_den):
+    """row / den minus row[e] / den times the pivot row, whose nonzeros are
+    nz as (column, int) pairs over p_den = its entry in column e.  Returns
+    the new (row, den), divided by their gcd."""
+    f = row[e]
+    g = gcd(f, p_den)
+    p, q = p_den // g, f // g
+    if p != 1:
+        row = [v * p for v in row]
+        den *= p
+    for j, v in nz:
+        row[j] -= q * v
+    g = gcd(den, *row)
+    if g != 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
 
 
 class _Tableau:
-    def __init__(self, rows, b, lo, hi, ncol):
+    def __init__(self, rows, lo, hi, ncol):
         self.m = len(rows)
         self.n = ncol
         self.lo = lo
         self.hi = hi
         # columns that may enter the basis, in Bland order; fixed ones never do
         self.movable = [j for j in range(ncol) if lo[j] != hi[j]]
-        # nonbasic start: everything at its lower bound
+        # nonbasic start: everything at its lower bound; each row's sign is
+        # chosen so that its artificial starts at a nonnegative value
         self.at_upper = set()
-        xN = lo
-        sgn = []
-        self.xB = []
-        for k, row in enumerate(rows):
-            r = b[k] - sum(v * xN[j] for j, v in row.items())
-            sgn.append(1 if r >= 0 else -1)
-            self.xB.append(abs(r))
-        self.T = []
-        for k, row in enumerate(rows):
-            dense = [Fraction(0)] * ncol
-            for j, v in row.items():
-                dense[j] = sgn[k] * v
-            self.T.append(dense)
+        self.N = []
+        self.D = []
+        for coef, rhs, den in rows:
+            r = rhs - sum(v * lo[j] for j, v in coef.items())
+            sgn = 1 if r >= 0 else -1
+            dense = [0] * (ncol + 1)
+            for j, v in coef.items():
+                dense[j] = sgn * v
+            dense[ncol] = abs(r)
+            self.N.append(dense)
+            self.D.append(den)
         # artificial basis; artificial for row k has index n + k and never re-enters
         self.basis = [ncol + k for k in range(self.m)]
-        self.d = None  # reduced-cost row of the current phase
+        self.d = None  # reduced-cost row of the current phase, as (ints, den)
 
-    def values(self):
-        out = [self.hi[j] if j in self.at_upper else self.lo[j] for j in range(self.n)]
+    def values(self, count, scale):
+        """The values of the first count columns, unscaled."""
+        out = [Fraction(self.hi[j] if j in self.at_upper else self.lo[j], scale[j])
+               for j in range(count)]
         for i, j in enumerate(self.basis):
-            if j < self.n:
-                out[j] = self.xB[i]
+            if j < count:
+                out[j] = Fraction(self.N[i][self.n], self.D[i] * scale[j])
         return out
 
-    def _reduced_costs(self, c, art_cost):
-        d = list(c)
-        for i, j in enumerate(self.basis):
-            ci = c[j] if j < self.n else art_cost
-            if ci == 0:
-                continue
-            for k, v in enumerate(self.T[i]):
-                if v != 0:
-                    d[k] -= ci * v
-        return d
+    def _reduced_costs(self, cost, art_cost):
+        """cost minus c_B times the tableau, as one int row over a positive
+        int denominator; cost is (ints, denominator), art_cost an int over
+        the same denominator."""
+        c, c_den = cost
+        basic_cost = [(i, c[j] if j < self.n else art_cost) for i, j in enumerate(self.basis)]
+        basic_cost = [(i, ci) for i, ci in basic_cost if ci]
+        den = lcm(*(self.D[i] for i, _ in basic_cost))
+        d = [v * den for v in c] + [0]
+        for i, ci in basic_cost:
+            k = ci * (den // self.D[i])
+            for j, v in enumerate(self.N[i]):
+                if v:
+                    d[j] -= k * v
+        den *= c_den
+        g = gcd(den, *d)
+        return [v // g for v in d], den // g
 
-    def _pivot(self, r, e):
-        """Make column e basic in row r; returns the new row r's nonzeros as
-        (column, value) pairs.  Only those columns change in the other rows."""
-        Tr = self.T[r]
-        inv = 1 / Tr[e]
-        nz = [(j, v * inv) for j, v in enumerate(Tr) if v != 0]
-        for j, v in nz:
-            Tr[j] = v
-        for i, Ti in enumerate(self.T):
-            f = Ti[e]
-            if f == 0 or i == r:
-                continue
-            for j, v in nz:
-                Ti[j] -= f * v
-        return nz
+    def _pivot(self, r, e, leave_at, enter_at):
+        """Make column e basic in row r: the leaving variable goes to the
+        value leave_at and e takes the value enter_at plus the step (the
+        two bounds, scaled, that they sit at)."""
+        N, D, n = self.N, self.D, self.n
+        row = N[r]
+        if leave_at:
+            row[n] -= leave_at * D[r]  # row r's last entry is now the step
+        if row[e] < 0:
+            row = [-v for v in row]
+        g = gcd(*row)
+        if g != 1:
+            row = [v // g for v in row]
+        p_den = row[e]
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        for i, Ni in enumerate(N):
+            if Ni[e] and i != r:
+                N[i], D[i] = _eliminate(Ni, D[i], e, nz, p_den)
+        if self.d is not None and self.d[0][e]:
+            self.d = _eliminate(*self.d, e, nz, p_den)
+        row[n] += enter_at * p_den
+        N[r], D[r] = row, p_den
 
-    def run(self, c, art_cost):
-        """Minimize c over the current tableau; returns 'optimal' or 'unbounded'."""
+    def run(self, cost, art_cost):
+        """Minimize cost over the current tableau; returns 'optimal' or 'unbounded'."""
         basic = set(self.basis)
-        d = self.d = self._reduced_costs(c, art_cost)
-        lo, hi, at_upper, xB, basis = self.lo, self.hi, self.at_upper, self.xB, self.basis
-        n = self.n
+        self.d = self._reduced_costs(cost, art_cost)
+        lo, hi, at_upper, basis = self.lo, self.hi, self.at_upper, self.basis
+        N, D, n = self.N, self.D, self.n
         for _ in range(MAX_ITER):
+            d = self.d[0]
             enter = -1
             for j in self.movable:
                 if j in basic:
@@ -145,75 +220,78 @@ class _Tableau:
             if enter < 0:
                 return "optimal"
             increase = enter not in at_upper
-            col = [(i, Ti[enter]) for i, Ti in enumerate(self.T) if Ti[enter] != 0]
-            # ratio test: largest step t >= 0 keeping everything inside bounds
-            t_best = None
+            col = [(i, Ni[enter]) for i, Ni in enumerate(N) if Ni[enter]]
+            # ratio test: largest step t >= 0 keeping everything inside
+            # bounds; row i's bound is reached at t = num / abs(w)
+            t_num = t_den = None
             leave = -1  # -1 means bound flip of the entering variable
             if hi[enter] is not None:
-                t_best = hi[enter] - lo[enter]
+                t_num, t_den = hi[enter] - lo[enter], 1
             for i, wi in col:
                 bi = basis[i]
                 if (wi > 0) == increase:  # basic variable falls to its lower bound
-                    t_i = (xB[i] - (lo[bi] if bi < n else 0)) / abs(wi)
+                    num = N[i][n] - (lo[bi] * D[i] if bi < n else 0)
                 elif bi < n and hi[bi] is not None:  # rises to its upper bound
-                    t_i = (hi[bi] - xB[i]) / abs(wi)
+                    num = hi[bi] * D[i] - N[i][n]
                 else:
                     continue
-                if t_best is None or t_i < t_best:
-                    t_best = t_i
+                den = abs(wi)
+                if t_num is None or num * t_den < t_num * den:
+                    t_num, t_den = num, den
                     leave = i
-                elif t_i == t_best and leave >= 0 and bi < basis[leave]:
+                elif num * t_den == t_num * den and leave >= 0 and bi < basis[leave]:
                     # Bland tie-break on the leaving variable index
                     leave = i
-            if t_best is None:
+            if t_num is None:
                 return "unbounded"
-            step = t_best if increase else -t_best
-            for i, wi in col:
-                xB[i] -= step * wi
+            enter_at = lo[enter] if increase else hi[enter]
             if leave < 0:
                 # entering variable flips from one finite bound to the other;
                 # the basis, and so the reduced costs, stay as they are
+                step = t_num if increase else -t_num
+                for i, wi in col:
+                    N[i][n] -= step * wi
                 if increase:
                     at_upper.add(enter)
                 else:
                     at_upper.discard(enter)
                 continue
             leaving = basis[leave]
-            enter_val = (lo[enter] if increase else hi[enter]) + step
             if leaving < n:
-                if (self.T[leave][enter] > 0) == increase:
+                falls = (N[leave][enter] > 0) == increase
+                leave_at = lo[leaving] if falls else hi[leaving]
+                if falls:
                     at_upper.discard(leaving)
                 else:
                     at_upper.add(leaving)
+            else:
+                leave_at = 0
             basic.discard(leaving)
             basic.add(enter)
             basis[leave] = enter
             at_upper.discard(enter)
-            de = d[enter]
-            for j, v in self._pivot(leave, enter):
-                d[j] -= de * v
-            xB[leave] = enter_val
+            self._pivot(leave, enter, leave_at, enter_at)
         raise CyclingError("simplex iteration limit exceeded")
 
     def drive_out_artificials(self):
         """Pivot zero-valued artificials out of the basis; drop redundant rows."""
+        self.d = None
         drop = []
         for i in range(self.m):
             if self.basis[i] < self.n:
                 continue
-            piv_col = next((j for j in self.movable if self.T[i][j] != 0), None)
+            piv_col = next((j for j in self.movable if self.N[i][j] != 0), None)
             if piv_col is None:
                 drop.append(i)
                 continue
             # zero-step pivot: the solution is unchanged, so the incoming
             # variable keeps the bound value it currently sits at
-            enter_val = self.hi[piv_col] if piv_col in self.at_upper else self.lo[piv_col]
+            enter_at = self.hi[piv_col] if piv_col in self.at_upper else self.lo[piv_col]
             self.basis[i] = piv_col
             self.at_upper.discard(piv_col)
-            self.xB[i] = enter_val
-            self._pivot(i, piv_col)
+            self._pivot(i, piv_col, 0, enter_at)
         for i in reversed(drop):
-            del self.T[i], self.xB[i], self.basis[i]
+            del self.N[i], self.D[i], self.basis[i]
             self.m -= 1
 
 
@@ -224,24 +302,20 @@ def solve_rational(problem):
     basic column indices (structural and slack); duals has one multiplier per
     original row, None for equality rows (they have no slack to read it from).
     """
-    rows, b, lo, hi, c, ncol = _to_equality_form(problem)
-    tab = _Tableau(rows, b, lo, hi, ncol)
+    rows, lo, hi, cost, scale, ncol = _to_equality_form(problem)
+    tab = _Tableau(rows, lo, hi, ncol)
 
-    phase1_cost = [Fraction(0)] * ncol
-    tab.run(phase1_cost, art_cost=Fraction(1))
-    infeas = sum(
-        tab.xB[i] for i in range(tab.m) if tab.basis[i] >= ncol
-    )
-    if infeas > 0:
+    tab.run(([0] * ncol, 1), art_cost=1)
+    # artificials never go negative, so phase 1 reached 0 iff each one is 0
+    if any(tab.N[i][ncol] for i in range(tab.m) if tab.basis[i] >= ncol):
         return "infeasible", None, None, None, None
     tab.drive_out_artificials()
 
-    status = tab.run(c, art_cost=Fraction(0))
+    status = tab.run(cost, art_cost=0)
     if status == "unbounded":
         return "unbounded", None, None, None, None
 
-    vals = tab.values()
-    x = vals[: problem.num_cols]
+    x = tab.values(problem.num_cols, scale)
     obj = sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))
     basis = sorted(j for j in tab.basis if j < ncol)
     duals = _recover_duals(problem, tab.d)
@@ -252,15 +326,18 @@ def solve_rational(problem):
 
 def _recover_duals(problem, d):
     """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
-    d is phase 2's final reduced-cost row."""
+    d is phase 2's final reduced-cost row as (ints, den).  Slack columns are
+    not scaled, and scaling the structural columns leaves c_B B^{-1} as it
+    is, so these are the duals of the problem as given."""
+    d, den = d
     duals = []
     col = problem.num_cols
     for coef, sense, rhs in problem.rows:
         if sense == ">=":
-            duals.append(d[col])  # slack coef is -1: d_s = 0 + y_k
+            duals.append(Fraction(d[col], den))  # slack coef is -1: d_s = 0 + y_k
             col += 1
         elif sense == "<=":
-            duals.append(-d[col])
+            duals.append(Fraction(-d[col], den))
             col += 1
         else:
             duals.append(None)

@@ -58,26 +58,48 @@ def check_2ec(graph, multiplicity):
     return value >= 2
 
 
+class CutPool:
+    """The cut rows x(delta(S)) >= 2 of one tree: the degree cuts, then every
+    separated cut in the order found.  Each row is built once, when its cut
+    enters the pool; len() counts the separated cuts."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.everything = frozenset(range(graph.num_vertices))
+        self.sides = set()
+        self.rows = []
+        for v in range(graph.num_vertices):
+            self.add(frozenset([v]))
+
+    def __len__(self):
+        return len(self.rows) - self.graph.num_vertices
+
+    def add(self, side):
+        """Add the cut of side unless it, or its complement, is already in
+        the pool; returns whether it was added."""
+        if side in self.sides or self.everything - side in self.sides:
+            return False
+        self.sides.add(side)
+        self.rows.append(Row({e: 1 for e in self.graph.cut_edges(side)}, 2))
+        return True
+
+
 def branch_lpc_2ec(graph, x_node, e_idx, cut_pool=None, mode="float"):
     """Three-way split of a subtour-feasible point on edge e_idx.
 
     The branching LP is the binary tree's with cap 2, solved by row
-    generation: degree cuts (plus any previously found cuts) seed it, then
-    violated cuts from the separator are added until each scaled copy is
-    certified feasible.  Edges already at value >= 1 are pinned there.
-    cut_pool, when given, is shared and extended in place so later branches
-    start warm.
+    generation: the rows of cut_pool (a CutPool of graph; degree cuts plus
+    any previously found cuts) seed it, then violated cuts from the
+    separator are added until each scaled copy is certified feasible.  Edges
+    already at value >= 1 are pinned there.  cut_pool, when given, is shared
+    and extended in place so later branches start warm.
     """
     if cut_pool is None:
-        cut_pool = []
-    everything = frozenset(range(graph.num_vertices))
-    degree_cuts = [frozenset([v]) for v in range(graph.num_vertices)]
-    known = set(degree_cuts) | set(cut_pool)
-    rows = [_cut_row(graph, side) for side in degree_cuts + cut_pool]
+        cut_pool = CutPool(graph)
     pinned = [e for e, v in enumerate(x_node) if float(v) >= 1 - ZERO_TOL]
     for _ in range(MAX_SEPARATION_ROUNDS):
-        out, active = _branching_lp(x_node, e_idx, 2, rows, pinned, {}, mode)
-        new = []
+        out, active = _branching_lp(x_node, e_idx, 2, cut_pool.rows, pinned, {}, mode)
+        added = False
         for j in range(3):
             lj = out.solution[3 * len(active) + j]
             if float(lj) <= SEP_LAMBDA_TOL:
@@ -86,21 +108,13 @@ def branch_lpc_2ec(graph, x_node, e_idx, cut_pool=None, mode="float"):
             for k, e in enumerate(active):
                 y[e] = out.solution[j * len(active) + k]
             side = separate_subtour(graph, y, 2 * lj)
-            if side is not None and side not in known and everything - side not in known:
-                new.append(side)
-                known.add(side)
-        if not new:
+            if side is not None and cut_pool.add(side):
+                added = True
+        if not added:
             break
-        rows.extend(_cut_row(graph, side) for side in new)
-        cut_pool.extend(new)
     else:
         raise lp.LpError("separation did not converge")
     return _split(out, x_node, active, 2, mode)
-
-
-def _cut_row(graph, side):
-    """The cut constraint x(delta(side)) >= 2."""
-    return Row({e: 1 for e in graph.cut_edges(side)}, 2)
 
 
 def fdt_2ec(point, mode="float", check=True, trace=None):
@@ -125,7 +139,7 @@ def _fdt_2ec(point, mode, check, trace):
     supp = support(x0)
     # fractional edges first, then index order
     order = sorted(supp, key=lambda e: (is_integral(float(x0[e])), e))
-    cut_pool = []
+    cut_pool = CutPool(graph)
 
     def finish(x):
         F = floor_round(x)
@@ -146,14 +160,25 @@ def _fdt_2ec(point, mode, check, trace):
 
 def verify_certificate_2ec(cert, graph, tol=1e-6):
     """Certificate checks for the multigraph setting: those of
-    model.verify_certificate with cap 2, where a solution must be a
-    {0,1,2} multiplicity vector that is 2-edge-connected."""
+    model.verify_certificate with cap 2, where the premise is that x* is in
+    the subtour relaxation (x* in [0, 2]^E, every cut at least 2 - tol) and
+    a solution must be a {0,1,2} multiplicity vector that is
+    2-edge-connected."""
     def infeasibility(F):
         if any(m not in (0, 1, 2) for m in F):
             return "has a multiplicity outside {0,1,2}"
         return None if check_2ec(graph, F) else "is not 2-edge-connected"
 
-    return verify_solutions(cert, graph.num_edges, 2, infeasibility, tol)
+    def violations(x):
+        if graph.num_vertices < 2:
+            return []
+        value, side = global_min_cut(graph, x)
+        if value >= 2 - tol:
+            return []
+        return [f"base point violates the cut of vertices {sorted(side)}: "
+                f"{float(value):.9g} < 2"]
+
+    return verify_solutions(cert, graph.num_edges, 2, infeasibility, violations, tol)
 
 
 def point_to_dict(point, rational=False):

@@ -166,6 +166,22 @@ class TestVerifyInput:
                      "--instance", str(inst_path)]) == 2
         assert "domination fails" in capsys.readouterr().out
 
+    def test_point_outside_relaxation_is_invalid(self, triangle_setup, tmp_path, capsys):
+        # x* = (1/10, 1/10, 1/10) misses every row; the tree still returns a
+        # combination dominated by C x*, so only the premise check catches it
+        inst_path, _ = triangle_setup
+        point_path = tmp_path / "outside.json"
+        write_point(point_path, ["1/10", "1/10", "1/10"])
+        cert_path = tmp_path / "outside-cert.json"
+        assert main(["solve", "--rational", "--instance", str(inst_path),
+                     "--point", str(point_path), "--out", str(cert_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(cert_path),
+                     "--instance", str(inst_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "base point violates row 0: 0.2 < 1" in out
+        assert out[-1] == "INVALID"
+
     def test_missing_key_is_data_error(self, triangle_setup, capsys):
         inst_path, cert_path = triangle_setup
         d = json.loads(cert_path.read_text())

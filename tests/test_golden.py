@@ -14,19 +14,29 @@ order that moves a vertex shows up here.  It was recorded through
 scipy.optimize.linprog and networkx.stoer_wagner, before fdt called HiGHS and
 ran Stoer-Wagner itself.
 
-Regenerate both files (``PYTHONPATH=src python tests/test_golden.py``) only
+golden_simplex.json pins the exact simplex on LPs whose data is further
+from the integers: seeded random LPs with coefficients, right-hand sides and
+bounds of denominator up to 12, negative entries and negative lower bounds,
+and the branching and pruning LPs that the rational tree solves on atlas
+graph 45 (stored with the problems, so each one is checked on its own).  It
+was recorded from the Fraction-tableau simplex that preceded the integer-row
+one.
+
+Regenerate the files (``PYTHONPATH=src python tests/test_golden.py``) only
 when a change of pivot rule, LP model or cut order is intended.
 """
 
 import json
 import random
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from fdt import lp
+from fdt import binary, lp
 from fdt.binary import fdt_tree
 from fdt.experiments import _solve_relaxation
 from fdt.generators import gen_cv, gen_vc
@@ -39,6 +49,7 @@ from test_twoec import cv8
 
 GOLDEN = Path(__file__).with_name("golden_rational.json")
 GOLDEN_2EC = Path(__file__).with_name("golden_float_2ec.json")
+GOLDEN_LPS = Path(__file__).with_name("golden_simplex.json")
 
 
 def _random_lp(rng):
@@ -118,6 +129,86 @@ def golden_problems():
     return cases
 
 
+def _rational(rng, lo, hi):
+    """A random rational in [lo, hi] with denominator up to 12."""
+    q = rng.randint(1, 12)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+def _wide_lp(rng):
+    n = rng.randint(2, 7)
+    p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
+    p.objective = [_rational(rng, -5, 5) for _ in range(n)]
+    p.lower = [_rational(rng, -2, 1) for _ in range(n)]
+    p.upper = [None if rng.random() < 0.3 else lo + _rational(rng, 0, 3)
+               for lo in p.lower]
+    point = [lo + (_rational(rng, 0, 2) if hi is None else (hi - lo) * _rational(rng, 0, 1))
+             for lo, hi in zip(p.lower, p.upper)]
+    for _ in range(rng.randint(2, 7)):
+        coef = {i: _rational(rng, -4, 4) for i in rng.sample(range(n), rng.randint(1, n))}
+        coef = {i: c for i, c in coef.items() if c}
+        if coef:
+            sense = rng.choice([">=", "<=", "=="])
+            lhs = sum(c * point[i] for i, c in coef.items())
+            slack = rng.choice([0, 0, _rational(rng, 0, 2)])
+            p.add_row(coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs))
+    return p
+
+
+def wide_problems():
+    """(name, problem) pairs: seeded random LPs with denominators up to 12."""
+    rng = random.Random(12)
+    return [(f"wide-{k}", _wide_lp(rng)) for k in range(24)]
+
+
+def atlas_problems():
+    """(name, problem) pairs: every branching and pruning LP the rational
+    tree solves on atlas graph 45, in solve order."""
+    graph = nx.graph_atlas(45)
+    inst = gen_vc(make_graph(graph.number_of_nodes(), list(graph.edges())))
+    _, x = _solve_relaxation(inst, "rational")
+    solved = []
+
+    def solve(problem, mode):
+        role = "branch" if sys._getframe(1).f_code.co_name == "_branching_lp" else "prune"
+        solved.append((f"atlas-45-{len(solved)}-{role}", problem))
+        return lp.solve(problem, mode)
+
+    # a stand-in for the lp module as fdt.binary sees it, so that only the
+    # tree's own LPs are recorded and dom_to_ip's helper LPs are not
+    recorder = types.SimpleNamespace(**vars(lp))
+    recorder.solve = solve
+    real, binary.lp = binary.lp, recorder
+    try:
+        fdt_tree(inst, x, mode="rational")
+    finally:
+        binary.lp = real
+    return solved
+
+
+def problem_to_dict(p):
+    return {
+        "num_cols": p.num_cols,
+        "maximize": p.maximize,
+        "objective": [str(v) for v in p.objective],
+        "lower": [str(v) for v in p.lower],
+        "upper": [_fmt(v) for v in p.upper],
+        "rows": [[{str(i): str(c) for i, c in coef.items()}, sense, str(rhs)]
+                 for coef, sense, rhs in p.rows],
+    }
+
+
+def problem_from_dict(d):
+    p = lp.LpProblem(
+        num_cols=d["num_cols"], maximize=d["maximize"],
+        objective=[Fraction(v) for v in d["objective"]],
+        lower=[Fraction(v) for v in d["lower"]],
+        upper=[None if v is None else Fraction(v) for v in d["upper"]])
+    for coef, sense, rhs in d["rows"]:
+        p.add_row({int(i): Fraction(c) for i, c in coef.items()}, sense, Fraction(rhs))
+    return p
+
+
 def golden_graphs():
     """(name, graph) pairs for the rational tree."""
     def atlas(i):
@@ -187,6 +278,19 @@ def test_simplex_matches_golden(name, problem):
     assert simplex_record(problem) == _load()["simplex"][name]
 
 
+@pytest.mark.parametrize("name,problem", wide_problems(),
+                         ids=[name for name, _ in wide_problems()])
+def test_wide_simplex_matches_golden(name, problem):
+    assert simplex_record(problem) == _load(GOLDEN_LPS)["wide"][name]
+
+
+def test_atlas_lps_match_golden():
+    atlas = _load(GOLDEN_LPS)["atlas"]
+    assert len(atlas) == 11
+    for name, case in atlas.items():
+        assert simplex_record(problem_from_dict(case["problem"])) == case["result"], name
+
+
 @pytest.mark.parametrize("name,graph", golden_graphs(),
                          ids=[name for name, _ in golden_graphs()])
 def test_rational_tree_matches_golden(name, graph):
@@ -211,3 +315,8 @@ if __name__ == "__main__":
         "certificates": {name: certificate_record(g) for name, g in golden_graphs()},
     })
     _write(GOLDEN_2EC, {name: float_2ec_record(p) for name, p in golden_points()})
+    _write(GOLDEN_LPS, {
+        "wide": {name: simplex_record(p) for name, p in wide_problems()},
+        "atlas": {name: {"problem": problem_to_dict(p), "result": simplex_record(p)}
+                  for name, p in atlas_problems()},
+    })

@@ -170,10 +170,32 @@ class TestCertificate:
         ok, report = verify_certificate(bad, triangle_vc(), tol=0)
         assert not ok and any("too many" in line for line in report)
 
+    def test_base_point_outside_box_named(self):
+        cert = self.make_cert()
+        bad = Certificate(cert.factor, cert.weights, cert.solutions,
+                          (Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2)))
+        ok, report = verify_certificate(bad, triangle_vc(), tol=0)
+        assert not ok
+        assert "base point: coordinate 0 = 1.5 outside [0, 1]" in report
+        assert "base point: coordinate 2 = -0.5 outside [0, 1]" in report
+
+    def test_base_point_row_checked_exactly(self):
+        # row 1 (x1 + x2 >= 1) falls short by 1e-12: outside P, inside the
+        # float tolerance
+        cert = self.make_cert()
+        x = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**12))
+        near = Certificate(Fraction(3, 2), cert.weights, cert.solutions, x)
+        ok, report = verify_certificate(near, triangle_vc(), tol=0)
+        assert not ok
+        assert [line for line in report if line.startswith("base point")] == [
+            "base point violates row 1: 1 < 1", "base point violates row 2: 1 < 1"]
+        ok, report = verify_certificate(near, triangle_vc())
+        assert ok, report
+
     def test_domination_cap_allows_doubled_coordinates(self):
         # min(C x*, upper) is the bound: a coordinate at the variable cap is
-        # fine even when C x* exceeds it
-        inst = make_instance(1, [({0: 1}, 1)])
+        # fine even when C x* exceeds it (x* = 1/2 is in P: 2 x0 >= 1)
+        inst = make_instance(1, [({0: 2}, 1)])
         cert = Certificate(Fraction(3), (Fraction(1),), ((1,),), (Fraction(1, 2),))
         ok, report = verify_certificate(cert, inst, tol=0)
         assert ok, report

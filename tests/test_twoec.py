@@ -6,7 +6,7 @@ from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
 from fdt.model import Certificate, ValidationError
-from fdt.twoec import (SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
+from fdt.twoec import (CutPool, SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
                        floor_round, is_subtour_feasible, point_from_dict,
                        point_to_dict, separate_subtour, verify_certificate_2ec)
 
@@ -127,12 +127,23 @@ class TestBranching:
 
     def test_cut_pool_shared(self):
         pt = cv8()
-        pool = []
+        pool = CutPool(pt.graph)
         branch_lpc_2ec(pt.graph, list(pt.x), 0, cut_pool=pool, mode="float")
         # a second call may only extend the pool
         size = len(pool)
         branch_lpc_2ec(pt.graph, list(pt.x), 1, cut_pool=pool, mode="float")
         assert len(pool) >= size
+
+    def test_cut_rows_built_once(self, monkeypatch):
+        pt = cv8()
+        scans = []
+        cut_edges = Graph.cut_edges
+        monkeypatch.setattr(Graph, "cut_edges",
+                            lambda g, side: scans.append(side) or cut_edges(g, side))
+        pool = CutPool(pt.graph)
+        for e in range(3):
+            branch_lpc_2ec(pt.graph, list(pt.x), e, cut_pool=pool, mode="float")
+        assert len(scans) == len(pool.rows) == pt.graph.num_vertices + len(pool)
 
     def test_zero_edge_rejected(self):
         pt = square()
@@ -174,6 +185,19 @@ class TestFdt2ec:
         ok, report = verify_certificate_2ec(bad, cv8().graph)
         assert not ok
         assert any("2-edge-connected" in line for line in report)
+
+    def test_base_point_outside_relaxation_rejected(self):
+        # every check on the solutions passes; x* itself is not in the
+        # subtour relaxation
+        tour = (1, 1, 1, 1)
+        light = Certificate(2.0, (1.0,), (tour,), (1.0, 1.0, 1.0, 0.5))
+        ok, report = verify_certificate_2ec(light, square().graph)
+        assert not ok
+        assert report == ["base point violates the cut of vertices [3]: 1.5 < 2"]
+        heavy = Certificate(1.0, (1.0,), (tour,), (1.0, 1.0, 1.0, 2.5))
+        ok, report = verify_certificate_2ec(heavy, square().graph)
+        assert not ok
+        assert report == ["base point: coordinate 3 = 2.5 outside [0, 2]"]
 
     def test_negative_weight_rejected(self):
         # the 8-cycle twice, weighted 3/2 and -1/2: every other check passes
