@@ -16,13 +16,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip
-from .model import ZERO_TOL, Certificate, check_integer_feasible, is_integral, support
+from .model import (ZERO_TOL, Certificate, check_base_point, check_integer_feasible,
+                    is_integral, support)
 
 CHECK_TOL = 1e-6
 GAMMA_TOL = 1e-9
+_EXACT_ZERO_TOL = Fraction(ZERO_TOL)
 
 
 class InvariantError(AssertionError):
@@ -50,8 +55,8 @@ def branch_lpc(inst, x_prime, ell, integral_prefix=(), mode="float"):
     """
     binary = inst.var_upper == 1
     fixed = {} if binary else {i: x_prime[i] for i in integral_prefix}
-    out, active = _branching_lp(x_prime, ell, inst.var_upper, inst.rows, (), fixed,
-                                mode)
+    out, active = _branching_lp(x_prime, ell, inst.var_upper, inst.row_matrix, (),
+                                fixed, mode)
     return _split(out, x_prime, active, inst.var_upper, mode,
                   prefix=integral_prefix if binary else ())
 
@@ -61,11 +66,13 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     returns (outcome, active coordinates).
 
     One copy x^j of the active coordinates per value j = 0..cap, each with a
-    multiplier lambda_j: x^j satisfies every covering row scaled by lambda_j,
-    x^j <= cap * lambda_j, x^j_i >= lambda_j for pinned i, x^j_i = v *
-    lambda_j for fixed {i: v}, and x^j_ell = j * lambda_j; the copies sum to
-    at most x, and sum lambda_j <= 1 is maximised.  Columns are the copies'
-    blocks, then the multipliers.
+    multiplier lambda_j: x^j satisfies every covering row of rows (a
+    RowMatrix) scaled by lambda_j, x^j <= cap * lambda_j, x^j_i >= lambda_j
+    for pinned i, x^j_i = v * lambda_j for fixed {i: v}, and x^j_ell = j *
+    lambda_j; the copies sum to at most x, and sum lambda_j <= 1 is
+    maximised.  Columns are the copies' blocks, then the multipliers; rows
+    are each copy's block (covering, cap, pinned, then fixed rows), then the
+    x^j_ell rows, the sum rows and the multiplier row.
     """
     exact = mode == "rational"
     tol = 0 if exact else ZERO_TOL
@@ -74,35 +81,86 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
         raise ValueError("branch coordinate has value 0; nothing to split")
     a = len(active)
     arity = cap + 1
-    col = {i: k for k, i in enumerate(active)}
-    lam = [arity * a + j for j in range(arity)]
-    one = Fraction(1) if exact else 1.0
+    lam = arity * a  # column of lambda_0
+    dtype = object if exact else float
+    col = np.full(len(x), -1)
+    col[active] = np.arange(a)
+    fixed = {i: v for i, v in fixed.items() if col[i] >= 0}
 
-    prob = lp.LpProblem(
-        num_cols=arity * a + arity,
-        upper=[None] * (arity * a) + [one] * arity,
-        objective=[0] * (arity * a) + [1] * arity,
-        maximize=True,
-    )
-    prob.upper[col[ell]] = 0  # x^0_ell = 0
-    for j in range(arity):
-        off = j * a
-        for row in rows:
-            coef = {off + col[i]: c for i, c in row.coef.items() if i in col}
-            coef[lam[j]] = -row.rhs
-            prob.add_row(coef, ">=", 0)
-        for i in active:
-            prob.add_row({off + col[i]: 1, lam[j]: -cap}, "<=", 0)
-        for i in pinned:
-            prob.add_row({off + col[i]: 1, lam[j]: -1}, ">=", 0)
-        for i, v in fixed.items():
-            if i in col:
-                prob.add_row({off + col[i]: 1, lam[j]: -v}, "==", 0)
-    for j in range(1, arity):
-        prob.add_row({j * a + col[ell]: 1, lam[j]: -j}, "==", 0)  # x^j_ell = j lambda_j
-    for i in active:
-        prob.add_row({j * a + col[i]: 1 for j in range(arity)}, "<=", x[i])
-    prob.add_row({lam[j]: 1 for j in range(arity)}, "<=", 1)
+    # one copy's rows, over local columns 0..a-1 and a for its lambda: the
+    # covering rows cut down to the active columns, each ending in lambda,
+    # then one two-entry row per active, pinned and fixed coordinate
+    start, index, values, rhs = rows.arrays(exact)
+    m = len(rhs)
+    local = col[index]
+    keep = local >= 0
+    kept = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    kept = kept[start]
+    pairs = len(pinned) + len(fixed)
+    nt = m + a + pairs
+    t_start = np.empty(nt + 1, dtype=np.int64)
+    t_start[:m + 1] = kept + np.arange(m + 1)
+    t_start[m + 1:] = t_start[m] + 2 * np.arange(1, a + pairs + 1)
+    nz = t_start[-1]
+    t_index = np.empty(nz, dtype=np.int64)
+    t_value = np.empty(nz, dtype=dtype)
+    ends = t_start[1:m + 1] - 1
+    covering = np.ones(t_start[m], dtype=bool)
+    covering[ends] = False
+    t_index[:t_start[m]][covering] = local[keep]
+    t_value[:t_start[m]][covering] = values[keep]
+    t_index[ends] = a
+    t_value[ends] = -rhs
+    t_index[t_start[m]::2] = col[active + list(pinned) + list(fixed)]
+    t_index[t_start[m] + 1::2] = a
+    t_value[t_start[m]::2] = 1
+    t_value[t_start[m] + 1::2] = ([-cap] * a + [-1] * len(pinned)
+                                  + [-v for v in fixed.values()])
+    t_sense = np.full(nt, lp.GE, dtype=np.int8)
+    t_sense[m:m + a] = lp.LE
+    t_sense[nt - len(fixed):] = lp.EQ
+
+    # the copies, then x^j_ell = j lambda_j for j >= 1 (two entries each),
+    # the sums over the copies of each active coordinate and the sum of the
+    # multipliers (arity entries each); copy j shifts local column k to
+    # j * a + k and its lambda to lam + j
+    nrows = arity * nt + cap + a + 1
+    row_start = np.empty(nrows + 1, dtype=np.int64)
+    row_start[:arity * nt].reshape(arity, nt)[:] = np.add.outer(nz * np.arange(arity),
+                                                                t_start[:-1])
+    row_start[arity * nt:arity * nt + cap] = arity * nz + 2 * np.arange(cap)
+    row_start[arity * nt + cap:] = arity * nz + 2 * cap + arity * np.arange(a + 2)
+    copy_index = np.add.outer(a * np.arange(arity), t_index)
+    copy_index[:, t_index == a] = lam + np.arange(arity)[:, None]
+    j = np.arange(1, arity)
+    tail = arity * nz
+    row_index = np.empty(row_start[-1], dtype=np.int64)
+    row_index[:tail] = copy_index.ravel()
+    row_index[tail:tail + 2 * cap:2] = j * a + col[ell]
+    row_index[tail + 1:tail + 2 * cap:2] = lam + j
+    row_index[tail + 2 * cap:-arity].reshape(a, arity)[:] = np.add.outer(
+        np.arange(a), a * np.arange(arity))
+    row_index[-arity:] = lam + np.arange(arity)
+    row_value = np.ones(row_start[-1], dtype=dtype)
+    row_value[:tail].reshape(arity, nz)[:] = t_value
+    row_value[tail + 1:tail + 2 * cap:2] = -j
+    row_sense = np.full(nrows, lp.LE, dtype=np.int8)
+    row_sense[:arity * nt].reshape(arity, nt)[:] = t_sense
+    row_sense[arity * nt:arity * nt + cap] = lp.EQ
+    row_rhs = np.zeros(nrows, dtype=dtype)
+    row_rhs[nrows - a - 1:-1] = [x[i] for i in active]
+    row_rhs[-1] = 1
+
+    num_cols = lam + arity
+    upper = np.full(num_cols, None if exact else np.inf, dtype=dtype)
+    upper[lam:] = 1
+    upper[col[ell]] = 0  # x^0_ell = 0
+    objective = np.zeros(num_cols, dtype=dtype)
+    objective[lam:] = 1
+    prob = lp.LpProblem(num_cols=num_cols, lower=np.zeros(num_cols, dtype=dtype),
+                        upper=upper, objective=objective, maximize=True)
+    prob.add_rows(row_start, row_index, row_value, row_sense, row_rhs)
     out = lp.solve(prob, mode=mode)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"branching LP unexpectedly {out.status}")
@@ -147,11 +205,21 @@ def prune(nodes, x_star, supp=None, mode="float"):
     """
     if supp is None:
         supp = support(x_star)
+    exact = mode == "rational"
+    dtype = object if exact else float
+    # row i of the LP: sum_j theta_j x^j_i <= x*_i over the nodes with
+    # x^j_i > ZERO_TOL (compared as a Fraction in exact mode: the same test,
+    # made faster)
+    points = np.fromiter(chain.from_iterable(x for x, _ in nodes), dtype=dtype,
+                         count=len(nodes) * len(x_star)).reshape(len(nodes), len(x_star))
+    coef = points[:, supp].T
+    positive = coef > (_EXACT_ZERO_TOL if exact else ZERO_TOL)
+    start = np.zeros(len(supp) + 1, dtype=np.int64)
+    np.cumsum(positive.sum(axis=1), out=start[1:])
     prob = lp.LpProblem(num_cols=len(nodes), maximize=True,
-                        objective=[1] * len(nodes))
-    for i in supp:
-        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > ZERO_TOL}
-        prob.add_row(coef, "<=", x_star[i])
+                        objective=np.ones(len(nodes), dtype=dtype))
+    prob.add_rows(start, np.nonzero(positive)[1], coef[positive], lp.LE,
+                  np.asarray(x_star, dtype=dtype)[supp])
     out = lp.solve(prob, mode=mode)
     if out.status == lp.UNBOUNDED:
         raise lp.LpError(
@@ -169,6 +237,7 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise."""
     exact = mode == "rational"
+    check_base_point(x_star, inst.var_upper, 0 if exact else CHECK_TOL)
     x0 = tuple(Fraction(v) if exact else float(v) for v in x_star)
     supp = support(x0)
     order = list(supp)
@@ -240,6 +309,7 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
     """One random root-to-leaf walk of the tree; deterministic given seed."""
     exact = mode == "rational"
+    check_base_point(x_star, inst.var_upper, 0 if exact else CHECK_TOL)
     rng = random.Random(seed)
     y = tuple(Fraction(v) if exact else float(v) for v in x_star)
     order = support(y)

@@ -8,7 +8,8 @@ basic (vertex) optimal solutions; the pruning LP depends on that, so
 interior-point methods are deliberately not offered.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -26,27 +27,102 @@ class LpError(RuntimeError):
     pass
 
 
-@dataclass
+# row senses, stored as small ints
+LE, GE, EQ = 0, 1, 2
+_SENSE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
+_SENSE_NAME = ("<=", ">=", "==")
+_NO_ROWS = (np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0),
+            np.zeros(0, np.int8), np.zeros(0))
+
+
 class LpProblem:
-    """min/max objective . x  subject to sparse rows and column bounds."""
+    """min/max objective . x  subject to sparse rows and column bounds.
 
-    num_cols: int
-    rows: list = field(default_factory=list)  # (coef dict, sense, rhs)
-    lower: list = None
-    upper: list = None  # None entry = +inf
-    objective: list = None
-    maximize: bool = False
+    The rows are kept as CSR arrays (csr()): row r has the entries
+    start[r]:start[r+1] of (index, value), its sense (LE, GE or EQ) and its
+    right-hand side.  add_rows appends a block already in CSR form; values
+    and right-hand sides are float64 arrays, or object arrays of exact
+    numbers (ints, Fractions) for the rational backend.  add_row appends
+    one row given as a {column: coef} dict; such rows wait as given until
+    the arrays are first asked for.  rows is a read-only view of all rows
+    as (coef dict, sense, rhs) triples.  An upper bound of None or inf
+    means unbounded.
+    """
 
-    def __post_init__(self):
-        if self.lower is None:
-            self.lower = [0] * self.num_cols
-        if self.upper is None:
-            self.upper = [None] * self.num_cols
-        if self.objective is None:
-            self.objective = [0] * self.num_cols
+    def __init__(self, num_cols, lower=None, upper=None, objective=None, maximize=False):
+        self.num_cols = num_cols
+        self.lower = [0] * num_cols if lower is None else lower
+        self.upper = [None] * num_cols if upper is None else upper
+        self.objective = [0] * num_cols if objective is None else objective
+        self.maximize = maximize
+        self._blocks = []  # (start, index, value, sense, rhs), start from 0
+        self._pending = []  # rows from add_row, as (coef, sense name, rhs)
 
     def add_row(self, coef, sense, rhs):
-        self.rows.append((coef, sense, rhs))
+        if sense not in _SENSE:
+            raise ValueError(f"unknown sense {sense!r}")
+        self._pending.append((coef, _SENSE_NAME[_SENSE[sense]], rhs))
+
+    def add_rows(self, start, index, value, sense, rhs):
+        """Append rows in CSR form (start from 0); sense is one code for
+        every row or an array of codes."""
+        self._flush()
+        self._blocks.append((np.asarray(start), np.asarray(index), value,
+                             np.broadcast_to(np.asarray(sense, dtype=np.int8), len(rhs)),
+                             rhs))
+
+    def _flush(self):
+        if self._pending:
+            rows = self._pending
+            self._pending = []
+            start = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(coef) for coef, _, _ in rows], out=start[1:])
+            self._blocks.append((
+                start,
+                np.array([i for coef, _, _ in rows for i in coef], dtype=np.int64),
+                np.array([v for coef, _, _ in rows for v in coef.values()], dtype=object),
+                np.array([_SENSE[sense] for _, sense, _ in rows], dtype=np.int8),
+                np.array([rhs for _, _, rhs in rows], dtype=object)))
+
+    def csr(self):
+        """Every row as one (start, index, value, sense, rhs) tuple of arrays."""
+        self._flush()
+        if len(self._blocks) > 1:
+            offsets = np.cumsum([0] + [b[0][-1] for b in self._blocks[:-1]])
+            start = np.concatenate([[0]] + [b[0][1:] + off
+                                            for b, off in zip(self._blocks, offsets)])
+            self._blocks = [(start,) + tuple(np.concatenate([b[k] for b in self._blocks])
+                                             for k in range(1, 5))]
+        return self._blocks[0] if self._blocks else _NO_ROWS
+
+    @property
+    def rows(self):
+        return _Rows(self)
+
+
+class _Rows(Sequence):
+    """The rows of an LpProblem as (coef dict, sense, rhs) triples, sense
+    one of "<=", ">=" and "=="."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __len__(self):
+        problem = self._problem
+        return len(problem._pending) + sum(len(block[4]) for block in problem._blocks)
+
+    def __getitem__(self, r):
+        return list(self)[r]
+
+    def __iter__(self):
+        problem = self._problem
+        if not problem._blocks:  # rows from add_row only, as they were given
+            yield from problem._pending
+            return
+        start, index, value, sense, rhs = (a.tolist() for a in problem.csr())
+        for r, (s, v) in enumerate(zip(sense, rhs)):
+            lo, hi = start[r], start[r + 1]
+            yield dict(zip(index[lo:hi], value[lo:hi])), _SENSE_NAME[s], v
 
 
 @dataclass
@@ -100,80 +176,74 @@ def _solve_float(problem):
     lhs = rhs; the matrix column-wise with row indices ascending and zero
     entries dropped; the cost negated when maximising."""
     n = problem.num_cols
-    c = np.array([float(v) for v in problem.objective])
-    if problem.maximize:
-        c = -c
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for coef, sense, rhs in problem.rows:
-        if sense == "<=":
-            ub_rows.append((coef, 1.0))
-            ub_rhs.append(float(rhs))
-        elif sense == ">=":
-            ub_rows.append((coef, -1.0))
-            ub_rhs.append(-float(rhs))
-        elif sense in ("==", "="):
-            eq_rows.append((coef, 1.0))
-            eq_rhs.append(float(rhs))
-        else:
-            raise ValueError(f"unknown sense {sense!r}")
-    columns = [[] for _ in range(n)]
-    for r, (coef, sign) in enumerate(ub_rows + eq_rows):
-        for i, v in coef.items():
-            v = float(v)
-            if v:
-                columns[i].append((r, v if sign > 0 else -v))
-    start = np.zeros(n + 1, dtype=np.int32)
-    start[1:] = np.cumsum([len(col) for col in columns])
-    entries = [e for col in columns for e in col]
-    index = np.array([r for r, _ in entries], dtype=np.int32)
-    value = np.array([v for _, v in entries], dtype=float)
-    rhs = np.array(ub_rhs + eq_rhs, dtype=float)
-    lhs = np.array([-highs.kHighsInf] * len(ub_rhs) + eq_rhs, dtype=float)
-    lower = np.array([float(v) for v in problem.lower])
-    upper = np.array([highs.kHighsInf if v is None else float(v) for v in problem.upper])
-    status, x, activity = linprog(c, lower, upper, lhs, rhs, start, index, value)
+    objective = np.asarray(problem.objective, dtype=float)
+    c = -objective if problem.maximize else objective
+    start, index, value, sense, rhs = problem.csr()
+    value = np.asarray(value, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    flip = sense == GE
+    rhs = np.where(flip, -rhs, rhs)
+    # HiGHS row k is problem row order[k]: inequalities first, in order
+    eq = sense == EQ
+    order = np.argsort(eq, kind="stable")
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    entry_row = np.repeat(np.arange(len(rhs)), np.diff(start))
+    value = np.where(flip[entry_row], -value, value)
+    kept = value != 0
+    entry_row, column, value = position[entry_row[kept]], index[kept], value[kept]
+    by_column = np.argsort(column * len(rhs) + entry_row, kind="stable")
+    a_start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(column, minlength=n), out=a_start[1:])
+    row_upper = rhs[order]
+    row_lower = np.where(eq[order], row_upper, -highs.kHighsInf)
+    lower = np.asarray(problem.lower, dtype=float)
+    upper = np.asarray(problem.upper)
+    if upper.dtype == object:
+        upper = np.where(upper == None, highs.kHighsInf, upper)  # noqa: E711
+    upper = upper.astype(float)
+    status, x, activity = linprog(c, lower, upper, row_lower, row_upper, a_start,
+                                  entry_row[by_column].astype(np.int32),
+                                  value[by_column])
     if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
         # dual simplex cannot always tell infeasible from unbounded;
         # let the exact backend classify the (rare, off-hot-path) failure
         return _solve_rational(problem)
     if x is None:
         raise LpError(f"float solve failed: HiGHS model status {status.name}")
-    slack = rhs - activity
-    m = len(ub_rhs)
+    slack = row_upper - activity
+    m = len(rhs) - int(eq.sum())
     if (np.isnan(x).any() or np.isnan(slack).any()
             or (x < lower - _RESULT_TOL).any() or (x > upper + _RESULT_TOL).any()
             or (slack[:m] < -_RESULT_TOL).any() or (np.abs(slack[m:]) > _RESULT_TOL).any()):
         raise LpError("float solve failed: optimum violates the constraints")
-    obj = float(np.dot([float(v) for v in problem.objective], x))
+    obj = float(np.dot(objective, x))
     return LpOutcome(OPTIMAL, solution=x.tolist(), objective=obj, mode="float")
+
+
+# one solver for the process: passModel replaces its model and clears its
+# solver state, so every call starts cold, as in a fresh solver
+_HIGHS = highs._Highs()
+_HIGHS.passOptions(_OPTIONS)
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
 def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
     """min cost.x  s.t.  row_lower <= A x <= row_upper, lower <= x <= upper,
-    with A column-wise as (start, index, value), by HiGHS dual simplex in a
-    fresh solver.  Returns (model status, x, A x); x and A x are None unless
-    the status is optimal."""
-    model = highs.HighsLp()
-    model.num_col_ = len(cost)
-    model.num_row_ = len(row_upper)
-    model.a_matrix_.num_col_ = len(cost)
-    model.a_matrix_.num_row_ = len(row_upper)
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.col_cost_ = cost
-    model.col_lower_ = lower
-    model.col_upper_ = upper
-    model.row_lower_ = row_lower
-    model.row_upper_ = row_upper
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = value
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
-    if solver.passModel(model) == highs.HighsStatus.kError:
+    with A column-wise as (start, index, value), by HiGHS dual simplex.
+    Returns (model status, x, A x); x and A x are None unless the status is
+    optimal.  The solver is shared, so this is not thread-safe."""
+    num_col, num_row = len(cost), len(row_upper)
+    # all columns continuous; the array overload refuses an empty array
+    integrality = np.zeros(num_col, dtype=np.int32)
+    if _HIGHS.passModel(num_col, num_row, len(value), _COLWISE, _MINIMIZE, 0.0,
+                        cost, lower, upper, row_lower, row_upper,
+                        start, index, value, integrality) == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, None
-    failed = solver.run() == highs.HighsStatus.kError
-    status = solver.getModelStatus()
+    failed = _HIGHS.run() == highs.HighsStatus.kError
+    status = _HIGHS.getModelStatus()
     if failed or status != highs.HighsModelStatus.kOptimal:
         return status, None, None
-    solution = solver.getSolution()
+    solution = _HIGHS.getSolution()
     return status, np.array(solution.col_value), np.array(solution.row_value)

@@ -11,6 +11,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 ZERO_TOL = 1e-9
 
@@ -70,6 +73,51 @@ class Row:
         return self.value(x) - self.rhs
 
 
+class RowMatrix:
+    """Rows  sum_k values[k] * x[index[k]] >= rhs[r]  over k in
+    start[r]:start[r+1], as CSR arrays of exact numbers (object arrays,
+    with integral Fractions stored as ints, which the exact simplex reads
+    faster); their float copies are made once, when first asked for."""
+
+    def __init__(self, rows=()):
+        counts, index, values, rhs = [], [], [], []
+        for row in rows:
+            counts.append(len(row.coef))
+            index.extend(row.coef)
+            values.extend(map(_int_if_integral, row.coef.values()))
+            rhs.append(_int_if_integral(row.rhs))
+        self.start = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.start[1:])
+        self.index = np.array(index, dtype=np.int64)
+        self.values = np.array(values, dtype=object)
+        self.rhs = np.array(rhs, dtype=object)
+        self._floats = None
+
+    def __len__(self):
+        return len(self.rhs)
+
+    def append(self, row):
+        """Add one Row at the end."""
+        grown = RowMatrix([row])
+        self.start = np.concatenate([self.start, grown.start[1:] + self.start[-1]])
+        self.index = np.concatenate([self.index, grown.index])
+        self.values = np.concatenate([self.values, grown.values])
+        self.rhs = np.concatenate([self.rhs, grown.rhs])
+        self._floats = None
+
+    def arrays(self, exact):
+        """(start, index, values, rhs), values and rhs exact or float64."""
+        if exact:
+            return self.start, self.index, self.values, self.rhs
+        if self._floats is None:
+            self._floats = (self.values.astype(float), self.rhs.astype(float))
+        return (self.start, self.index) + self._floats
+
+
+def _int_if_integral(v):
+    return int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class IpInstance:
     num_vars: int
@@ -100,6 +148,11 @@ class IpInstance:
     @property
     def var_upper(self):
         return 1 if self.kind == BINARY else 2
+
+    @cached_property
+    def row_matrix(self):
+        """The rows as one RowMatrix, built on first use."""
+        return RowMatrix(self.rows)
 
     def cost(self, x):
         if self.objective is None:
@@ -258,8 +311,7 @@ def verify_solutions(cert, n, cap, infeasibility, violations, tol):
         raise ValidationError("weights and solutions have different lengths")
     if any(len(z) != n for z in cert.solutions):
         raise ValidationError("solution with wrong dimension")
-    report = [f"base point: coordinate {i} = {float(v):.9g} outside [0, {cap}]"
-              for i, v in enumerate(cert.base_point) if v < -tol or v > cap + tol]
+    report = [f"base point: {p}" for p in box_violations(cert.base_point, cap, tol)]
     report.extend(violations(cert.base_point))
     total = sum(cert.weights)
     if abs(total - 1) > tol:
@@ -285,6 +337,20 @@ def verify_solutions(cert, n, cap, infeasibility, violations, tol):
     if cert.k > t:
         report.append(f"too many solutions: k = {cert.k} > |spp(x*)| = {t}")
     return not report, report
+
+
+def box_violations(x, cap, tol):
+    """One message per coordinate of x that is not a number in [0, cap]
+    to within tol (NaN included)."""
+    return [f"coordinate {i} = {float(v):.9g} outside [0, {cap}]"
+            for i, v in enumerate(x) if not -tol <= v <= cap + tol]
+
+
+def check_base_point(x, cap, tol):
+    """Raise ValidationError unless x lies in [0, cap]^n to within tol."""
+    problems = box_violations(x, cap, tol)
+    if problems:
+        raise ValidationError(f"x*: {problems[0]}")
 
 
 def _num_out(rational):

@@ -27,7 +27,7 @@ duals.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 MAX_ITER = 200_000
 
@@ -41,14 +41,16 @@ def _to_equality_form(problem):
 
     Structural column j is scaled by scale[j], the least common denominator
     of its bounds; one slack column (scale 1) is appended per inequality
-    row.  Returns (rows, lo, hi, cost, scale, ncol): rows[k] is
+    row.  Returns (rows, senses, lo, hi, cost, scale, ncol): rows[k] is
     (coef, rhs, den), a dict {column: int} and two ints with the row's scaled
-    coefficients coef / den and right-hand side rhs / den; lo and hi are
-    scaled int bounds (hi None when infinite); cost is (ints, denominator).
+    coefficients coef / den and right-hand side rhs / den, and senses[k] is
+    the row's sense; lo and hi are scaled int bounds (hi None when
+    infinite); cost is (ints, denominator).
     """
     n = problem.num_cols
     lo = [None if v is None else _rational(v) for v in problem.lower]
-    hi = [None if v is None else _rational(v) for v in problem.upper]
+    hi = [None if v is None or isinstance(v, float) and v == inf else _rational(v)
+          for v in problem.upper]
     if any(v is None for v in lo):
         raise ValueError("finite lower bounds required")
     if any(h is not None and h < l for l, h in zip(lo, hi)):
@@ -62,17 +64,17 @@ def _to_equality_form(problem):
     cost = [(sign * v.numerator, v.denominator * s)
             for v, s in zip(map(_rational, problem.objective), scale)]
 
-    rows = []
+    rows, senses = [], []
     ncol = n
     for coef, sense, rhs in problem.rows:
+        senses.append(sense)
         cols, ratios = [], []
         for i, v in coef.items():
             v = _rational(v)
             if v:
-                i = int(i)
                 cols.append(i)
                 ratios.append((v.numerator, v.denominator * scale[i]))
-        if sense in (">=", "<="):
+        if sense != "==":
             cols.append(ncol)
             ratios.append((-1 if sense == ">=" else 1, 1))
             lo.append(0)
@@ -80,13 +82,11 @@ def _to_equality_form(problem):
             cost.append((0, 1))
             scale.append(1)
             ncol += 1
-        elif sense not in ("==", "="):
-            raise ValueError(f"unknown sense {sense!r}")
         rhs = _rational(rhs)
         ratios.append((rhs.numerator, rhs.denominator))
         nums, den = _common_denominator(ratios)
         rows.append((dict(zip(cols, nums)), nums[-1], den))
-    return rows, lo, hi, _common_denominator(cost), scale, ncol
+    return rows, senses, lo, hi, _common_denominator(cost), scale, ncol
 
 
 def _rational(v):
@@ -302,7 +302,7 @@ def solve_rational(problem):
     basic column indices (structural and slack); duals has one multiplier per
     original row, None for equality rows (they have no slack to read it from).
     """
-    rows, lo, hi, cost, scale, ncol = _to_equality_form(problem)
+    rows, senses, lo, hi, cost, scale, ncol = _to_equality_form(problem)
     tab = _Tableau(rows, lo, hi, ncol)
 
     tab.run(([0] * ncol, 1), art_cost=1)
@@ -318,21 +318,22 @@ def solve_rational(problem):
     x = tab.values(problem.num_cols, scale)
     obj = sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))
     basis = sorted(j for j in tab.basis if j < ncol)
-    duals = _recover_duals(problem, tab.d)
+    duals = _recover_duals(senses, problem.num_cols, tab.d)
     if problem.maximize:
         duals = [None if y is None else -y for y in duals]
     return "optimal", x, obj, basis, duals
 
 
-def _recover_duals(problem, d):
+def _recover_duals(senses, num_cols, d):
     """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
-    d is phase 2's final reduced-cost row as (ints, den).  Slack columns are
-    not scaled, and scaling the structural columns leaves c_B B^{-1} as it
-    is, so these are the duals of the problem as given."""
+    senses are the rows' senses, num_cols the number of structural columns
+    and d phase 2's final reduced-cost row as (ints, den).  Slack columns
+    are not scaled, and scaling the structural columns leaves c_B B^{-1} as
+    it is, so these are the duals of the problem as given."""
     d, den = d
     duals = []
-    col = problem.num_cols
-    for coef, sense, rhs in problem.rows:
+    col = num_cols
+    for sense in senses:
         if sense == ">=":
             duals.append(Fraction(d[col], den))  # slack coef is -1: d_s = 0 + y_k
             col += 1

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .binary import (InvariantError, _branching_lp, _decompose, _split, floor_round,
-                     prune)
+from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
+                     floor_round, prune)
 from .graphs import Graph, global_min_cut, graph_from_dict, graph_to_dict
-from .model import (ZERO_TOL, Row, ValidationError, as_fraction, is_integral,
-                    support, verify_solutions)
+from .model import (ZERO_TOL, Row, RowMatrix, ValidationError, as_fraction,
+                    check_base_point, is_integral, support, verify_solutions)
 
 SEP_TOL = 1e-7
 SEP_LAMBDA_TOL = 1e-9
@@ -60,14 +60,14 @@ def check_2ec(graph, multiplicity):
 
 class CutPool:
     """The cut rows x(delta(S)) >= 2 of one tree: the degree cuts, then every
-    separated cut in the order found.  Each row is built once, when its cut
-    enters the pool; len() counts the separated cuts."""
+    separated cut in the order found, as one RowMatrix.  Each row is built
+    once, when its cut enters the pool; len() counts the separated cuts."""
 
     def __init__(self, graph):
         self.graph = graph
         self.everything = frozenset(range(graph.num_vertices))
         self.sides = set()
-        self.rows = []
+        self.rows = RowMatrix()
         for v in range(graph.num_vertices):
             self.add(frozenset([v]))
 
@@ -124,6 +124,7 @@ def fdt_2ec(point, mode="float", check=True, trace=None):
     {0,1,2}^E.  A leaf failing the connectivity check in float mode triggers
     one exact retry before giving up.
     """
+    check_base_point(point.x, 2, 0 if mode == "rational" else CHECK_TOL)
     try:
         return _fdt_2ec(point, mode=mode, check=check, trace=trace)
     except InvariantError:

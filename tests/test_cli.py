@@ -220,3 +220,29 @@ class TestVerifyInput:
         assert main(["solve", "--instance", str(inst_path),
                      "--point", str(point)]) == 1
         assert capsys.readouterr().err.count("malformed point") == 2
+
+
+class TestBasePointOutsideBox:
+    """x* must lie in [0, cap]^n; anything else is a data error, not a
+    traceback or a certificate the verifier then rejects."""
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5, -0.5], [1.5, 0.5, 0.5]])
+    def test_solve(self, triangle_setup, tmp_path, capsys, values):
+        inst_path, _ = triangle_setup
+        point_path = tmp_path / "bad.json"
+        write_point(point_path, values)
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_path),
+                     "--point", str(point_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside [0, 1]" in err
+        assert "Traceback" not in err
+
+    def test_solve_2ec(self, tmp_path, capsys):
+        point_path = tmp_path / "tri-2ec.json"
+        point_path.write_text(json.dumps({
+            "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "x": [1, 1, -1]}))
+        assert main(["solve-2ec", "--point", str(point_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside [0, 2]" in err
+        assert "Traceback" not in err

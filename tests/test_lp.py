@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,11 @@ import pytest
 import scipy.optimize
 
 from fdt import lp, simplex
+from fdt.binary import ZERO_TOL, branch_lpc, prune
+from fdt.generators import gen_vc
+from fdt.graphs import make_graph
+from fdt.model import ZEROONETWO, Row, make_instance
+from fdt.twoec import CutPool, SubtourPoint, branch_lpc_2ec
 
 
 def triangle_problem(maximize=False):
@@ -129,6 +135,148 @@ def random_lp(rng):
     return p
 
 
+def reference_branching_lp(x, ell, cap, rows, pinned, fixed, mode):
+    """The branching LP as binary._branching_lp built it from row dicts
+    before the CSR builder; rows is a list of Rows."""
+    exact = mode == "rational"
+    tol = 0 if exact else ZERO_TOL
+    active = [i for i, v in enumerate(x) if v > tol]
+    a = len(active)
+    arity = cap + 1
+    col = {i: k for k, i in enumerate(active)}
+    lam = [arity * a + j for j in range(arity)]
+    one = Fraction(1) if exact else 1.0
+    prob = lp.LpProblem(
+        num_cols=arity * a + arity,
+        upper=[None] * (arity * a) + [one] * arity,
+        objective=[0] * (arity * a) + [1] * arity,
+        maximize=True,
+    )
+    prob.upper[col[ell]] = 0
+    for j in range(arity):
+        off = j * a
+        for row in rows:
+            coef = {off + col[i]: c for i, c in row.coef.items() if i in col}
+            coef[lam[j]] = -row.rhs
+            prob.add_row(coef, ">=", 0)
+        for i in active:
+            prob.add_row({off + col[i]: 1, lam[j]: -cap}, "<=", 0)
+        for i in pinned:
+            prob.add_row({off + col[i]: 1, lam[j]: -1}, ">=", 0)
+        for i, v in fixed.items():
+            if i in col:
+                prob.add_row({off + col[i]: 1, lam[j]: -v}, "==", 0)
+    for j in range(1, arity):
+        prob.add_row({j * a + col[ell]: 1, lam[j]: -j}, "==", 0)
+    for i in active:
+        prob.add_row({j * a + col[i]: 1 for j in range(arity)}, "<=", x[i])
+    prob.add_row({lam[j]: 1 for j in range(arity)}, "<=", 1)
+    return prob
+
+
+def reference_prune_lp(nodes, x_star, supp):
+    """The pruning LP as binary.prune built it from row dicts."""
+    prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
+    for i in supp:
+        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > ZERO_TOL}
+        prob.add_row(coef, "<=", x_star[i])
+    return prob
+
+
+def built_lps(monkeypatch, build):
+    """The LpProblems that build() hands to lp.solve."""
+    problems = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda p, mode: problems.append(p) or solve(p, mode))
+    build()
+    monkeypatch.setattr(lp, "solve", solve)
+    return problems
+
+
+def cv8():
+    """8-cycle at value 1/2 with four crossing value-1 chords."""
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 3), (1, 5), (2, 6), (4, 7)]
+    return SubtourPoint(make_graph(8, edges), (0.5,) * 8 + (1.0,) * 4)
+
+
+def node_lps(monkeypatch, mode):
+    """(built, reference) pairs: the branching LPs of a binary VC node, a
+    {0,1,2} node with fixed rows and a 2EC node with pinned rows and a grown
+    cut pool, and the pruning LP of the VC node's children."""
+    exact = mode == "rational"
+    num = Fraction if exact else float
+    pairs = []
+
+    vc = gen_vc(make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]))
+    x = tuple(num(v) for v in (Fraction(1, 2),) * 5)
+    results = []
+    [built] = built_lps(monkeypatch, lambda: results.append(
+        branch_lpc(vc, x, 1, integral_prefix=(), mode=mode)))
+    pairs.append((built, reference_branching_lp(x, 1, 1, vc.rows, (), {}, mode)))
+
+    # children of that node, plus one whose coordinates fall under ZERO_TOL
+    br = results[0]
+    nodes = [(xh, g) for g, xh in zip(br.gammas, br.x_hats) if g]
+    nodes.append((tuple(num(v) for v in (Fraction(1, 10**12), 1, 0, 1, 1)), num(0)))
+    supp = list(range(5))
+    [built] = built_lps(monkeypatch, lambda: prune(nodes, x, supp, mode=mode))
+    pairs.append((built, reference_prune_lp(nodes, x, supp)))
+
+    # x0 is integral and on the prefix, so {0,1,2} branching fixes it;
+    # row 1 has a non-dyadic coefficient and row 2 a zero right-hand side
+    tri = make_instance(3, [({0: 1, 1: 1}, 1), ({0: 2, 2: Fraction(2, 3)}, 1),
+                            ({1: 1, 2: -1}, 0)], kind=ZEROONETWO)
+    x = tuple(num(v) for v in (1, Fraction(3, 2), Fraction(1, 2)))
+    [built] = built_lps(monkeypatch, lambda: branch_lpc(tri, x, 1, integral_prefix=(0,),
+                                                         mode=mode))
+    pairs.append((built, reference_branching_lp(x, 1, 2, tri.rows, (), {0: x[0]}, mode)))
+
+    pt = cv8()
+    x = tuple(num(v) for v in pt.x)
+    pool = CutPool(pt.graph)
+    for e in range(2):
+        branch_lpc_2ec(pt.graph, x, e, cut_pool=pool, mode=mode)
+    assert len(pool) > 0
+    start, index, values, rhs = pool.rows.arrays(True)
+    rows = [Row(dict(zip(index[lo:hi].tolist(), values[lo:hi].tolist())), r)
+            for lo, hi, r in zip(start[:-1], start[1:], rhs)]
+    pinned = [e for e, v in enumerate(x) if v >= 1]
+    assert pinned
+    built = built_lps(monkeypatch, lambda: branch_lpc_2ec(pt.graph, x, 2, cut_pool=pool,
+                                                          mode=mode))
+    pairs.append((built[0], reference_branching_lp(x, 2, 2, rows, pinned, {}, mode)))
+    return pairs
+
+
+def _values(seq, exact):
+    """seq as exact numbers, or as floats with None read as inf."""
+    if exact:
+        assert not any(isinstance(v, float) for v in seq)
+        return list(seq)
+    return [math.inf if v is None else float(v) for v in seq]
+
+
+class TestBlockBuilders:
+    """The CSR builders make the LPs the row-dict builders made, row for row."""
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_same_lp_as_reference(self, monkeypatch, mode):
+        exact = mode == "rational"
+        for built, ref in node_lps(monkeypatch, mode):
+            assert (built.num_cols, built.maximize) == (ref.num_cols, ref.maximize)
+            for attr in ("objective", "lower", "upper"):
+                assert (_values(getattr(built, attr), exact)
+                        == _values(getattr(ref, attr), exact)), attr
+            assert len(built.rows) == len(ref.rows)
+            for (coef, sense, rhs), (ref_coef, ref_sense, ref_rhs) in zip(built.rows,
+                                                                            ref.rows):
+                assert sense == ref_sense
+                assert _values([rhs], exact) == _values([ref_rhs], exact)
+                assert set(coef) == set(ref_coef)
+                assert (_values([coef[k] for k in ref_coef], exact)
+                        == _values(ref_coef.values(), exact))
+
+
 class TestHighsMatchesLinprog:
     """The float backend calls HiGHS itself with linprog's model and options,
     so it must land on linprog's vertex, bit for bit."""
@@ -145,6 +293,14 @@ class TestHighsMatchesLinprog:
             assert expected.status in (2, 3)
             assert out.mode == "rational"
             assert out.status in (lp.INFEASIBLE, lp.UNBOUNDED)
+
+    def test_node_lps(self, monkeypatch):
+        for built, _ in node_lps(monkeypatch, "float"):
+            expected = linprog_oracle(built)
+            assert expected.status == 0
+            out = lp.solve(built, mode="float")
+            assert out.mode == "float"
+            assert out.solution == expected.x.tolist()
 
     def test_infeasible_is_classified_exactly(self):
         p = lp.LpProblem(num_cols=2, upper=[1, 1])
@@ -174,3 +330,45 @@ class TestHighsMatchesLinprog:
             lp.highs.HighsModelStatus.kIterationLimit, None, None))
         out = lp.solve(triangle_problem(), mode="float")
         assert (out.mode, out.objective) == ("rational", Fraction(3, 2))
+
+
+class TestReusedSolver:
+    """lp.linprog keeps one HiGHS solver for the process; a solve must not
+    depend on what that solver did before."""
+
+    def test_sequence_matches_fresh_solver(self, monkeypatch):
+        infeasible = lp.LpProblem(num_cols=1, upper=[1])
+        infeasible.add_row({0: 1}, ">=", 2)
+        unbounded = lp.LpProblem(num_cols=1, objective=[1], maximize=True)
+        # a coefficient HiGHS refuses as too large: no optimum, so the
+        # exact backend answers
+        model_error = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 1])
+        model_error.add_row({0: 1e16, 1: 1}, ">=", 1)
+        expected = [
+            (infeasible, lp.highs.HighsModelStatus.kInfeasible, lp.INFEASIBLE, "rational"),
+            (unbounded, lp.highs.HighsModelStatus.kUnbounded, lp.UNBOUNDED, "rational"),
+            (model_error, lp.highs.HighsModelStatus.kModelError, lp.OPTIMAL, "rational"),
+            (triangle_problem(), lp.highs.HighsModelStatus.kOptimal, lp.OPTIMAL, "float"),
+        ]
+        linprog = lp.linprog
+        shared = lp._HIGHS
+
+        def solve(problem, solver):
+            calls = []
+
+            def recorded(*args):
+                status, x, activity = linprog(*args)
+                calls.append((status, None if x is None else x.tobytes()))
+                return status, x, activity
+            monkeypatch.setattr(lp, "_HIGHS", solver)
+            monkeypatch.setattr(lp, "linprog", recorded)
+            out = lp.solve(problem, mode="float")
+            return calls, (out.status, out.mode, out.solution, out.objective)
+
+        for problem, highs_status, status, mode in expected:
+            fresh = lp.highs._Highs()
+            fresh.passOptions(lp._OPTIONS)
+            calls, out = solve(problem, shared)
+            assert (calls, out) == solve(problem, fresh)
+            assert [c[0] for c in calls] == [highs_status]
+            assert out[:2] == (status, mode)

@@ -116,15 +116,15 @@ class TestDuals:
         checked = 0
         for _ in range(60):
             n = rng.randint(1, 5)
+            rows = [({i: Fraction(rng.randint(-3, 3)) for i in range(n)},
+                     rng.choice([">=", "<="]), Fraction(rng.randint(-4, 4)))
+                    for _ in range(rng.randint(1, 5))]
             p = prob(
                 n,
-                [({i: Fraction(rng.randint(-3, 3)) for i in range(n)},
-                  rng.choice([">=", "<="]), Fraction(rng.randint(-4, 4)))
-                 for _ in range(rng.randint(1, 5))],
+                [(c, s, r) for c, s, r in rows if any(v != 0 for v in c.values())],
                 upper=[Fraction(rng.randint(1, 4)) for _ in range(n)],
                 objective=[Fraction(rng.randint(-4, 4)) for _ in range(n)],
             )
-            p.rows = [(c, s, r) for c, s, r in p.rows if any(v != 0 for v in c.values())]
             status, x, obj, _, duals = solve_rational(p)
             if status != "optimal" or any(y is None for y in duals):
                 continue
