@@ -1,9 +1,11 @@
 """Turn an integral point dominating the LP relaxation into a feasible
 integer solution, one coordinate at a time.
 
-Each iteration asks an LP whether the next support coordinate can be pushed
-to 0 while honoring all earlier decisions; a strictly positive optimum pins
-it at 1.  An infeasible LP along the way certifies that either the input
+Each iteration asks a helper LP whether the next support coordinate can be
+pushed to 0 while honoring all earlier decisions; a strictly positive
+optimum pins it at 1.  On covering rows (every coefficient >= 0) the helper
+LP's optimum has a closed form and no LP is solved; other instances solve
+it.  An infeasible LP along the way certifies that either the input
 did not dominate the relaxation or the instance's integrality gap is
 unbounded -- the two cases are indistinguishable here, so one error covers
 both.
@@ -13,7 +15,8 @@ import math
 from fractions import Fraction
 
 from . import lp
-from .model import ZERO_TOL, check_integer_feasible, is_integral, is_zero, support
+from .model import (ZERO_TOL, ValidationError, check_integer_feasible, is_integral,
+                    is_zero, support)
 
 
 class UnboundedGapOrInfeasible(RuntimeError):
@@ -22,7 +25,62 @@ class UnboundedGapOrInfeasible(RuntimeError):
 
 def helper_lp(inst, x_cur, finalized, target, mode="float"):
     """min x_target over the relaxation, with `finalized` coordinates pinned
-    and everything else capped by the current point."""
+    and everything else capped by the current point.
+
+    On covering rows the optimum has a closed form (_covering_optimum);
+    other instances solve the LP."""
+    if inst.covering:
+        return _covering_helper(inst, x_cur, finalized, target, mode)
+    return _helper_by_lp(inst, x_cur, finalized, target, mode)
+
+
+def _covering_helper(inst, x_cur, finalized, target, mode):
+    """helper_lp on an instance whose coefficients are all >= 0, without an
+    LP: its optimal value, exact in both modes, and the optimal point x_cur
+    with the target coordinate lowered to it."""
+    # x_cur exactly, with ints where integral
+    u = [p if q == 1 else Fraction(p, q)
+         for p, q in (v.as_integer_ratio() for v in x_cur)]
+    value = _covering_optimum(inst, u, target in finalized, target)
+    if value is None:
+        return lp.LpOutcome(lp.INFEASIBLE, mode=mode)
+    if mode == "rational":
+        solution = [v if isinstance(v, Fraction) else Fraction(v) for v in x_cur]
+    else:
+        solution = [float(v) for v in x_cur]
+        value = float(value)
+    solution[target] = value
+    return lp.LpOutcome(lp.OPTIMAL, solution=solution, objective=value, mode=mode)
+
+
+def _covering_optimum(inst, u, pinned, target):
+    """min x_t over covering rows with x_i in [0, u_i] for i != t and x_t in
+    [u_t if pinned else 0, u_t], as a Fraction, or None when that is empty.
+    Pinning other coordinates at u_i changes neither.
+
+    Raising a coordinate never breaks a row with coefficients >= 0, so every
+    other coordinate may sit at its cap, and x_t needs only what each capped
+    row still lacks: v* = max over rows r with c_rt > 0 of
+    (b_r - sum_{i != t} c_ri u_i) / c_rt, and at least x_t's lower bound.
+    A row without t that u misses, or v* > u_t, makes the LP infeasible."""
+    num, den = u[target] if pinned else 0, 1  # v* so far, as num / den
+    for index, values, rhs in inst.int_rows:
+        rest, c_t = rhs, 0
+        for i, c in zip(index, values):
+            if i == target:
+                c_t = c
+            else:
+                rest -= c * u[i]
+        if c_t:
+            if rest * den > num * c_t:
+                num, den = rest, c_t
+        elif rest > 0:
+            return None
+    return None if num > u[target] * den else Fraction(num, den)
+
+
+def _helper_by_lp(inst, x_cur, finalized, target, mode):
+    """helper_lp by solving the LP, for instances with negative coefficients."""
     exact = mode == "rational"
     zero = Fraction(0) if exact else 0.0
     lower = [zero] * inst.num_vars
@@ -58,8 +116,13 @@ def dom_to_ip(inst, x_tilde, mode="float"):
     if len(x_tilde) != inst.num_vars:
         raise ValueError("point has wrong dimension")
     for i, v in enumerate(x_tilde):
+        # above the cap is fine: dom(P) is unbounded above
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"coordinate {i} = {v} is not finite")
         if not is_integral(v, ZERO_TOL):
             raise ValueError(f"coordinate {i} = {v} is not integral")
+        if round(v) < 0:
+            raise ValidationError(f"coordinate {i} = {v} is negative")
     exact = mode == "rational"
     x = [Fraction(int(round(float(v)))) if exact else float(round(float(v)))
          for v in x_tilde]

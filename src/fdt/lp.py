@@ -177,6 +177,8 @@ def _solve_float(problem):
     entries dropped; the cost negated when maximising."""
     n = problem.num_cols
     objective = np.asarray(problem.objective, dtype=float)
+    if not np.isfinite(objective).all():
+        raise ValueError("objective has a non-finite coefficient")
     c = -objective if problem.maximize else objective
     start, index, value, sense, rhs = problem.csr()
     value = np.asarray(value, dtype=float)

@@ -49,8 +49,10 @@ def is_zero(v, tol=ZERO_TOL):
 
 
 def is_integral(v, tol=ZERO_TOL):
-    if isinstance(v, Fraction) or isinstance(v, int):
-        return Fraction(v).denominator == 1
+    if isinstance(v, int):
+        return True
+    if isinstance(v, Fraction):
+        return v.denominator == 1
     return abs(v - round(v)) <= tol
 
 
@@ -154,6 +156,22 @@ class IpInstance:
         """The rows as one RowMatrix, built on first use."""
         return RowMatrix(self.rows)
 
+    @cached_property
+    def int_rows(self):
+        """The rows as (index list, coefficient list, rhs) triples, read from
+        row_matrix's exact values: integral numbers are ints, so sums over
+        integer points stay in int arithmetic."""
+        m = self.row_matrix
+        start, index, values = m.start.tolist(), m.index.tolist(), m.values.tolist()
+        return tuple((index[a:b], values[a:b], rhs)
+                     for a, b, rhs in zip(start, start[1:], m.rhs.tolist()))
+
+    @cached_property
+    def covering(self):
+        """Is every row coefficient >= 0?  make_instance negates <= rows and
+        splits == rows into a negated pair, so those instances are not."""
+        return all(c >= 0 for _, values, _ in self.int_rows for c in values)
+
     def cost(self, x):
         if self.objective is None:
             raise ValueError("instance has no objective")
@@ -253,9 +271,10 @@ def check_integer_feasible(z, inst, tol=ZERO_TOL):
     for i, v in enumerate(zi):
         if not (0 <= v <= inst.var_upper):
             report.append(f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}")
-    for k, row in enumerate(inst.rows):
-        if row.slack(zi) < -tol:
-            report.append(f"row {k} violated: {float(row.value(zi)):g} < {float(row.rhs):g}")
+    for k, (index, values, rhs) in enumerate(inst.int_rows):
+        value = sum([c * zi[i] for i, c in zip(index, values)])
+        if value - rhs < -tol:
+            report.append(f"row {k} violated: {float(value):g} < {float(rhs):g}")
     return not report, report
 
 

@@ -60,9 +60,12 @@ def _to_equality_form(problem):
     lo = [l.numerator * (s // l.denominator) for l, s in zip(lo, scale)]
     hi = [None if h is None else h.numerator * (s // h.denominator)
           for h, s in zip(hi, scale)]
+    try:
+        objective = [_rational(v) for v in problem.objective]
+    except (OverflowError, ValueError) as exc:  # Fraction of inf or NaN
+        raise ValueError("objective has a non-finite coefficient") from exc
     sign = -1 if problem.maximize else 1
-    cost = [(sign * v.numerator, v.denominator * s)
-            for v, s in zip(map(_rational, problem.objective), scale)]
+    cost = [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)]
 
     rows, senses = [], []
     ncol = n

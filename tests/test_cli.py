@@ -117,6 +117,23 @@ class TestDomtoip:
                      "--point", str(point)]) == 2
         assert "unbounded-gap-or-infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_negative_coordinate_is_data_error(self, tmp_path, capsys, mode):
+        inst_path = tmp_path / "tri.json"
+        inst_path.write_text(json.dumps({
+            "num_vars": 3, "kind": "binary",
+            "rows": [{"coef": {"0": 1, "1": 1}, "rhs": 1},
+                     {"coef": {"1": 1, "2": 1}, "rhs": 1},
+                     {"coef": {"0": 1, "2": 1}, "rhs": 1}],
+        }))
+        point = tmp_path / "p.json"
+        write_point(point, [-1, 1, 1])
+        assert main(["domtoip", "--instance", str(inst_path),
+                     "--point", str(point), "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert "coordinate 0" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestBench:
     def test_bench_tap_writes_reports(self, tmp_path, capsys):

@@ -1,14 +1,16 @@
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fdt import lp
+from fdt import domtoip, lp
 from fdt.domtoip import (UnboundedGapOrInfeasible, dom_to_ip,
                          dom_to_ip_from_fractional, helper_lp)
-from fdt.model import make_instance
+from fdt.model import ValidationError, make_instance
 
 
 def triangle_vc():
@@ -55,6 +57,24 @@ class TestHelperLp:
         out = helper_lp(inst, [1, 0, 0], finalized=[], target=0, mode="rational")
         assert out.status == lp.INFEASIBLE
 
+    def test_lp_solved_only_off_covering_rows(self, monkeypatch):
+        calls = []
+        real = lp.solve
+
+        def counting(problem, mode):
+            calls.append(mode)
+            return real(problem, mode)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        for mode in ("rational", "float"):
+            assert dom_to_ip(triangle_vc(), [1, 1, 1], mode=mode) == [0, 1, 1]
+        assert calls == []
+        # a <= row is stored negated, so the instance is not covering
+        mixed = make_instance(3, [({0: 1, 1: 1}, 1), ({0: 1, 1: 1, 2: 1}, 2, "<=")])
+        assert not mixed.covering
+        assert dom_to_ip(mixed, [1, 1, 1], mode="rational") == [0, 1, 0]
+        assert len(calls) >= 1
+
 
 class TestDomToIp:
     def test_all_ones_reduces_to_minimal_cover(self):
@@ -84,6 +104,16 @@ class TestDomToIp:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             dom_to_ip(triangle_vc(), [1, 1])
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("first", [-1, -1.0, Fraction(-2), math.inf, -math.inf, math.nan])
+    def test_negative_or_non_finite_coordinate_rejected(self, first, mode):
+        with pytest.raises(ValidationError, match="coordinate 0"):
+            dom_to_ip(triangle_vc(), [first, 1, 1], mode=mode)
+
+    def test_coordinate_above_cap_is_legal(self):
+        # dom(P) is unbounded above
+        assert dom_to_ip(triangle_vc(), [2, 1, 1], mode="rational") == [0, 1, 1]
 
     def test_float_mode_matches_rational(self):
         for x_tilde in ([1, 1, 1], [0, 1, 1], [1, 1, 0]):
@@ -120,6 +150,7 @@ class TestOracleEquivalence:
                         for i in rng.sample(range(n), rng.randint(1, min(4, n)))}
                 rows.append((coef, rng.randint(0, 4)))
             inst = make_instance(n, rows)
+            assert inst.covering
             x_tilde = [int(rng.random() < 0.7) for _ in range(n)]
             expected = brute_force_dominated(inst, x_tilde)
             try:
@@ -133,3 +164,56 @@ class TestOracleEquivalence:
             assert all(row.value(z) >= row.rhs for row in inst.rows), trial
             agree += 1
         assert agree > 20 and refuse > 5  # both branches exercised
+
+    def test_random_mixed_sign_instances(self, monkeypatch):
+        """With <= and == rows and negative coefficients the helper LPs are
+        solved, and float refusals restart in rational mode.  Off covering
+        rows dom_to_ip may refuse a point that dominates a solution; what it
+        returns must still be feasible and dominated."""
+        helper_solves = restarts = 0
+        real_solve, real_dom_to_ip = lp.solve, domtoip.dom_to_ip
+
+        def counting_solve(problem, mode):
+            nonlocal helper_solves
+            helper_solves += 1
+            return real_solve(problem, mode)
+
+        def counting_dom_to_ip(inst, x_tilde, mode="float"):
+            nonlocal restarts
+            restarts += sys._getframe(1).f_code.co_name == "dom_to_ip"
+            return real_dom_to_ip(inst, x_tilde, mode=mode)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        monkeypatch.setattr(domtoip, "dom_to_ip", counting_dom_to_ip)
+        rng = random.Random(29)
+        agree = refuse = 0
+        for trial in range(80):
+            n = rng.randint(3, 8)
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                coef = {i: rng.choice([-2, -1, 1, 2, 3])
+                        for i in rng.sample(range(n), rng.randint(1, min(4, n)))}
+                rows.append((coef, rng.randint(-1, 2), rng.choice([">=", ">=", "<=", "=="])))
+            i, j = rng.sample(range(n), 2)
+            rows.append(({i: 1, j: 1}, rng.randint(1, 2), "<="))
+            inst = make_instance(n, rows)
+            assert not inst.covering
+            x_tilde = [int(rng.random() < 0.8) for _ in range(n)]
+            expected = brute_force_dominated(inst, x_tilde)
+            results = []
+            for mode in ("rational", "float"):
+                try:
+                    results.append(dom_to_ip(inst, x_tilde, mode=mode))
+                except UnboundedGapOrInfeasible:
+                    results.append(None)
+            z = results[0]
+            assert results[1] == z, trial
+            if z is None:
+                refuse += 1
+                continue
+            assert expected is not None, trial
+            assert all(a <= b for a, b in zip(z, x_tilde)), trial
+            assert all(row.value(z) >= row.rhs for row in inst.rows), trial
+            agree += 1
+        assert agree > 20 and refuse > 20  # both branches exercised
+        assert helper_solves > 0 and restarts > 0

@@ -36,6 +36,12 @@ class TestModeSelection:
         with pytest.raises(ValueError):
             lp.solve(triangle_problem(), mode="interior")
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("cost", [math.inf, math.nan])
+    def test_non_finite_objective_rejected(self, cost, mode):
+        with pytest.raises(ValueError, match="non-finite"):
+            lp.solve(lp.LpProblem(num_cols=1, upper=[1], objective=[cost]), mode)
+
 
 class TestBackendsAgree:
     def test_triangle_both_modes(self):

@@ -1,6 +1,7 @@
 """Property tests: on random covering instances, binary and {0,1,2}, the
-tree's certificates verify, exactly in rational mode; on random bounded LPs
-the exact simplex agrees with HiGHS on the optimum."""
+tree's certificates verify, exactly in rational mode, and dom_to_ip's helper
+LP has the same optimum in closed form as by solving the LP; on random
+bounded LPs the exact simplex agrees with HiGHS on the optimum."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fdt import lp
 from fdt.binary import fdt_tree
+from fdt.domtoip import _covering_helper, _helper_by_lp
 from fdt.experiments import _solve_relaxation
 from fdt.model import BINARY, ZEROONETWO, is_integral, make_instance, verify_certificate
 from fdt.simplex import solve_rational
@@ -52,6 +54,46 @@ def test_certificates_verify(inst):
     approx = fdt_tree(inst, [float(v) for v in x], mode="float")
     ok, report = verify_certificate(approx, inst)
     assert ok, report
+
+
+@st.composite
+def helper_lp_draws(draw):
+    """A covering instance with int or Fraction coefficients >= 0 and
+    right-hand sides that may be zero or negative, and a helper LP on it:
+    integral caps (some above the variables' bound), a finalized set and a
+    target.  Many draws are infeasible."""
+    kind = draw(st.sampled_from([BINARY, ZEROONETWO]))
+    cap = 1 if kind == BINARY else 2
+    n = draw(st.integers(1, 6))
+    numbers = st.one_of(st.integers(0, 4), rationals(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coef = draw(st.dictionaries(st.integers(0, n - 1), numbers, min_size=1, max_size=n))
+        rhs = draw(st.one_of(st.integers(-2, 6), rationals(-2, 6)))
+        rows.append((coef, rhs))
+    inst = make_instance(n, rows, kind=kind)
+    caps = draw(st.lists(st.integers(0, cap + 1), min_size=n, max_size=n))
+    finalized = draw(st.lists(st.integers(0, n - 1), unique=True))
+    target = draw(st.integers(0, n - 1))
+    return inst, caps, finalized, target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(helper_lp_draws(), st.sampled_from(["rational", "float"]))
+def test_helper_closed_form_matches_lp(draw, mode):
+    inst, caps, finalized, target = draw
+    assert inst.covering
+    x_cur = [Fraction(v) if mode == "rational" else float(v) for v in caps]
+    closed = _covering_helper(inst, x_cur, finalized, target, mode)
+    solved = _helper_by_lp(inst, x_cur, finalized, target, mode)
+    assert closed.status == solved.status
+    if closed.status != lp.OPTIMAL:
+        return
+    tol = 0 if mode == "rational" else 1e-9
+    assert isinstance(closed.objective, Fraction if mode == "rational" else float)
+    assert abs(closed.objective - solved.objective) <= tol
+    assert closed.solution[target] == closed.objective
+    assert all(row.slack(closed.solution) >= -tol for row in inst.rows)
 
 
 @st.composite
