@@ -237,7 +237,7 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise."""
     exact = mode == "rational"
-    check_base_point(x_star, inst.var_upper, 0 if exact else CHECK_TOL)
+    check_base_point(x_star, inst.num_vars, inst.var_upper, 0 if exact else CHECK_TOL)
     x0 = tuple(Fraction(v) if exact else float(v) for v in x_star)
     supp = support(x0)
     order = list(supp)
@@ -269,6 +269,7 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
     exact = mode == "rational"
     t = len(support(x0))
     L = [(x0, Fraction(1) if exact else 1.0)]
+    pruned_points = None  # the node points of the last pruning LP
     for depth, coord in enumerate(order):
         grown = []
         branch_totals = []
@@ -280,7 +281,14 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
             br = branch(x, depth)
             branch_totals.append(float(br.total))
             grown.extend((xh, w * g) for g, xh in zip(br.gammas, br.x_hats) if g)
-        L, old_total, new_total = prune_level(grown)
+        points = [x for x, _ in grown]
+        if points == pruned_points:
+            # the same points give the same LP, and the nodes carry its weights
+            L, old_total = grown, sum(w for _, w in grown)
+            new_total = old_total
+        else:
+            L, old_total, new_total = prune_level(grown)
+            pruned_points = points
         if check:
             _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
                          0 if exact else CHECK_TOL)
@@ -309,7 +317,7 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
     """One random root-to-leaf walk of the tree; deterministic given seed."""
     exact = mode == "rational"
-    check_base_point(x_star, inst.var_upper, 0 if exact else CHECK_TOL)
+    check_base_point(x_star, inst.num_vars, inst.var_upper, 0 if exact else CHECK_TOL)
     rng = random.Random(seed)
     y = tuple(Fraction(v) if exact else float(v) for v in x_star)
     order = support(y)

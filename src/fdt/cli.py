@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage/data error, 2 unbounded-gap-or-infeasible
-signal (or failed verification).
+Exit codes: 0 success, 1 usage/data error (or a tree the solvers cannot
+finish), 2 unbounded-gap-or-infeasible signal (or failed verification).
 """
 
 import argparse
@@ -12,14 +12,13 @@ import random
 import sys
 from fractions import Fraction
 
-import networkx as nx
-
-from .binary import fdt_dive, fdt_tree
+from .binary import InvariantError, fdt_dive, fdt_tree
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractional
 from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
                           run_tap_experiment, run_vc_experiment)
 from .generators import enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph
 from .graphs import make_graph
+from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
                     instance_to_dict, is_integral, load_certificate,
                     load_instance, save_instance, verify_certificate)
@@ -118,6 +117,7 @@ def cmd_gen(args):
         if args.pace:
             graph = read_pace_graph(args.pace)
         else:
+            import networkx as nx  # slow to import, and only this draw needs it
             n, p = args.n, args.p
             g = nx.gnp_random_graph(n, p, seed=args.seed)
             graph = make_graph(n, list(g.edges()), require_connected=False)
@@ -193,6 +193,7 @@ def cmd_bench_cv(args):
 
 
 def cmd_bench_vc(args):
+    import networkx as nx  # slow to import, and only the draws need it
     graphs = []
     for path in args.pace or []:
         graphs.append((os.path.basename(path), read_pace_graph(path)))
@@ -301,7 +302,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, LpError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -152,7 +152,3 @@ def global_min_cut(graph, weights):
 
 def graph_to_dict(graph):
     return {"vertices": graph.num_vertices, "edges": [list(e) for e in graph.edges]}
-
-
-def graph_from_dict(d):
-    return make_graph(d["vertices"], d["edges"])

@@ -6,13 +6,17 @@ the bindings scipy ships, with the model and options that
 ``scipy.optimize.linprog(method="highs-ds")`` would pass it.  Both return
 basic (vertex) optimal solutions; the pruning LP depends on that, so
 interior-point methods are deliberately not offered.
+
+Importing the binding runs all of ``scipy.optimize``'s package import, so
+it is loaded, with its options and the shared solver, on the first float
+solve; a run that only solves exactly never loads it.  The module
+attributes ``highs``, ``_OPTIONS`` and ``_HIGHS`` load it when first read.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core as highs
 
 from . import simplex
 
@@ -156,15 +160,6 @@ def _solve_rational(problem):
     return LpOutcome(OPTIMAL, solution=x, objective=obj, mode="rational")
 
 
-# linprog(method="highs-ds")'s options: presolve on, dual simplex, silent
-_OPTIONS = highs.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.solver = "simplex"
-_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-_OPTIONS.log_to_console = False
-_OPTIONS.output_flag = False
-
 # linprog's test of a returned optimum: bounds, slacks and equality
 # residuals within sqrt(tol) * 10 at its default tol of 1e-9
 _RESULT_TOL = np.sqrt(1e-9) * 10
@@ -198,15 +193,16 @@ def _solve_float(problem):
     a_start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(column, minlength=n), out=a_start[1:])
     row_upper = rhs[order]
-    row_lower = np.where(eq[order], row_upper, -highs.kHighsInf)
+    row_lower = np.where(eq[order], row_upper, -np.inf)  # HiGHS's kHighsInf is inf
     lower = np.asarray(problem.lower, dtype=float)
     upper = np.asarray(problem.upper)
     if upper.dtype == object:
-        upper = np.where(upper == None, highs.kHighsInf, upper)  # noqa: E711
+        upper = np.where(upper == None, np.inf, upper)  # noqa: E711
     upper = upper.astype(float)
     status, x, activity = linprog(c, lower, upper, row_lower, row_upper, a_start,
                                   entry_row[by_column].astype(np.int32),
                                   value[by_column])
+    # linprog has loaded the binding by now
     if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
         # dual simplex cannot always tell infeasible from unbounded;
         # let the exact backend classify the (rare, off-hot-path) failure
@@ -223,12 +219,34 @@ def _solve_float(problem):
     return LpOutcome(OPTIMAL, solution=x.tolist(), objective=obj, mode="float")
 
 
-# one solver for the process: passModel replaces its model and clears its
-# solver state, so every call starts cold, as in a fresh solver
-_HIGHS = highs._Highs()
-_HIGHS.passOptions(_OPTIONS)
-_COLWISE = int(highs.MatrixFormat.kColwise)
-_MINIMIZE = int(highs.ObjSense.kMinimize)
+_LAZY = frozenset({"highs", "_OPTIONS", "_HIGHS", "_COLWISE", "_MINIMIZE"})
+
+
+def _load_highs():
+    """Import the HiGHS binding and make the process's one solver, with
+    linprog(method="highs-ds")'s options: presolve on, dual simplex, silent.
+    passModel replaces the solver's model and clears its solver state, so
+    every call starts cold, as in a fresh solver."""
+    global highs, _OPTIONS, _HIGHS, _COLWISE, _MINIMIZE
+    from scipy.optimize._highspy import _core as highs
+    _OPTIONS = highs.HighsOptions()
+    _OPTIONS.presolve = "on"
+    _OPTIONS.solver = "simplex"
+    _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    _OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    _OPTIONS.log_to_console = False
+    _OPTIONS.output_flag = False
+    _HIGHS = highs._Highs()
+    _HIGHS.passOptions(_OPTIONS)
+    _COLWISE = int(highs.MatrixFormat.kColwise)
+    _MINIMIZE = int(highs.ObjSense.kMinimize)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        _load_highs()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
@@ -236,6 +254,8 @@ def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
     with A column-wise as (start, index, value), by HiGHS dual simplex.
     Returns (model status, x, A x); x and A x are None unless the status is
     optimal.  The solver is shared, so this is not thread-safe."""
+    if "_HIGHS" not in globals():
+        _load_highs()
     num_col, num_row = len(cost), len(row_upper)
     # all columns continuous; the array overload refuses an empty array
     integrality = np.zeros(num_col, dtype=np.int32)

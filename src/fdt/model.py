@@ -30,7 +30,10 @@ def as_fraction(v):
     if isinstance(v, Fraction):
         return v
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot interpret {v!r} as a number") from exc
     if isinstance(v, bool):
         raise ValidationError(f"boolean is not a number: {v!r}")
     if isinstance(v, int):
@@ -226,13 +229,13 @@ def instance_to_dict(inst, rational=True):
 
 def instance_from_dict(d):
     try:
-        num_vars = int(d["num_vars"])
+        num_vars = as_integer(d["num_vars"])
         kind = d.get("kind", BINARY)
         rows = [
             ({int(i): v for i, v in r["coef"].items()}, r["rhs"], r.get("sense", ">="))
             for r in d["rows"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed instance: {exc}") from exc
     return make_instance(
         num_vars, rows, kind=kind, objective=d.get("objective"), name=d.get("name", "")
@@ -365,8 +368,10 @@ def box_violations(x, cap, tol):
             for i, v in enumerate(x) if not -tol <= v <= cap + tol]
 
 
-def check_base_point(x, cap, tol):
+def check_base_point(x, n, cap, tol):
     """Raise ValidationError unless x lies in [0, cap]^n to within tol."""
+    if len(x) != n:
+        raise ValidationError(f"x* has length {len(x)}, expected {n}")
     problems = box_violations(x, cap, tol)
     if problems:
         raise ValidationError(f"x*: {problems[0]}")
@@ -390,21 +395,22 @@ def certificate_to_dict(cert, rational=True):
     }
 
 
-def _integer(v):
+def as_integer(v):
+    """Parse a JSON-ish integer exactly, as as_fraction does a number."""
     f = as_fraction(v)
     if not is_integral(f):
-        raise ValidationError(f"solution entry {v!r} is not an integer")
+        raise ValidationError(f"entry {v!r} is not an integer")
     return int(f)
 
 
 def certificate_from_dict(d):
     try:
         rational = d.get("mode", "rational") == "rational"
-        conv = as_fraction if rational else float
+        conv = as_fraction if rational else lambda v: float(as_fraction(v))
         return Certificate(
             factor=conv(d["factor"]),
             weights=tuple(conv(w) for w in d["weights"]),
-            solutions=tuple(tuple(_integer(v) for v in z) for z in d["solutions"]),
+            solutions=tuple(tuple(as_integer(v) for v in z) for z in d["solutions"]),
             base_point=tuple(conv(v) for v in d["base_point"]),
             name=d.get("name", ""),
         )

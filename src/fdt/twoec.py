@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import lp
 from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
                      floor_round, prune)
-from .graphs import Graph, global_min_cut, graph_from_dict, graph_to_dict
-from .model import (ZERO_TOL, Row, RowMatrix, ValidationError, as_fraction,
+from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
+from .model import (ZERO_TOL, Row, RowMatrix, ValidationError, as_fraction, as_integer,
                     check_base_point, is_integral, support, verify_solutions)
 
 SEP_TOL = 1e-7
@@ -121,10 +121,16 @@ def fdt_2ec(point, mode="float", check=True, trace=None):
     """Decompose a subtour-feasible point into 2-edge-connected multigraphs.
 
     Returns a certificate whose solutions are multiplicity vectors in
-    {0,1,2}^E.  A leaf failing the connectivity check in float mode triggers
+    {0,1,2}^E.  A point outside the subtour relaxation (a coordinate
+    outside [0, 2] or a cut below 2, to within the tree's tolerance) raises
+    ValidationError.  A leaf failing the connectivity check in float mode triggers
     one exact retry before giving up.
     """
-    check_base_point(point.x, 2, 0 if mode == "rational" else CHECK_TOL)
+    tol = 0 if mode == "rational" else CHECK_TOL
+    check_base_point(point.x, point.graph.num_edges, 2, tol)
+    problems = cut_violations(point.graph, point.x, tol)
+    if problems:
+        raise ValidationError(f"x*: {problems[0]}")
     try:
         return _fdt_2ec(point, mode=mode, check=check, trace=trace)
     except InvariantError:
@@ -170,16 +176,20 @@ def verify_certificate_2ec(cert, graph, tol=1e-6):
             return "has a multiplicity outside {0,1,2}"
         return None if check_2ec(graph, F) else "is not 2-edge-connected"
 
-    def violations(x):
-        if graph.num_vertices < 2:
-            return []
-        value, side = global_min_cut(graph, x)
-        if value >= 2 - tol:
-            return []
-        return [f"base point violates the cut of vertices {sorted(side)}: "
-                f"{float(value):.9g} < 2"]
+    return verify_solutions(cert, graph.num_edges, 2, infeasibility,
+                            lambda x: cut_violations(graph, x, tol), tol)
 
-    return verify_solutions(cert, graph.num_edges, 2, infeasibility, violations, tol)
+
+def cut_violations(graph, x, tol):
+    """The subtour premise: a message for the minimum cut of x if its weight
+    is below 2 - tol, else nothing."""
+    if graph.num_vertices < 2:
+        return []
+    value, side = global_min_cut(graph, x)
+    if value >= 2 - tol:
+        return []
+    return [f"base point violates the cut of vertices {sorted(side)}: "
+            f"{float(value):.9g} < 2"]
 
 
 def point_to_dict(point, rational=False):
@@ -190,7 +200,8 @@ def point_to_dict(point, rational=False):
 
 def point_from_dict(d):
     try:
-        graph = graph_from_dict(d)
+        graph = make_graph(as_integer(d["vertices"]),
+                           [(as_integer(u), as_integer(v)) for u, v in d["edges"]])
         return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed point: {exc}") from exc

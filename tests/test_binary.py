@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdt import lp
+from fdt import binary, lp
 from fdt.binary import (InvariantError, _leaf_solution, branch_lpc, fdt_dive,
                         fdt_tree, prune)
 from fdt.domtoip import UnboundedGapOrInfeasible
@@ -141,6 +141,36 @@ class TestFdtTree:
         assert cert.factor == 1
         ok, report = verify_certificate(cert, inst, tol=0)
         assert ok, report
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_settled_level_with_the_same_points_skips_the_prune_lp(self, monkeypatch, mode):
+        # an edge at (1, 1) and a triangle at 1/2: levels 1 and 2 settle on
+        # the root, and level 5 settles every node of level 4
+        inst = gen_vc(make_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)],
+                                 require_connected=False))
+        x = [1, 1, HALF, HALF, HALF]
+        if mode == "float":
+            x = [float(v) for v in x]
+        sizes = []
+        monkeypatch.setattr(binary, "prune", lambda nodes, *args, **kwargs: (
+            sizes.append(len(nodes)) or prune(nodes, *args, **kwargs)))
+        trace = []
+        cert = fdt_tree(inst, x, mode=mode, trace=trace)
+        assert sizes == [1, 2, 3]
+        assert [(lv["pre_prune_size"], lv["size"]) for lv in trace] == [
+            (1, 1), (1, 1), (2, 2), (3, 3), (3, 3)]
+        assert cert.factor == (Fraction(4, 3) if mode == "rational" else pytest.approx(4 / 3))
+        assert verify_certificate(cert, inst, tol=0 if mode == "rational" else 1e-6)[0]
+
+    def test_prune_again_returns_the_weights_it_gave(self):
+        # what the skip relies on: a level whose nodes the pruning LP kept
+        # gets the same weights from the same LP
+        x_star = (HALF, HALF, HALF)
+        nodes = [((1, 1, 0), Fraction(1, 6)), ((0, 1, 1), Fraction(1, 6)),
+                 ((1, 0, 1), Fraction(1, 6))]
+        kept, _, total = prune(nodes, x_star, mode="rational")
+        assert len(kept) == len(nodes)
+        assert prune(kept, x_star, mode="rational") == (kept, total, total)
 
     def test_unbounded_gap_signalled(self):
         inst = make_instance(2, [({0: 1, 1: 1}, 3)])

@@ -263,3 +263,14 @@ class TestBasePointOutsideBox:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "outside [0, 2]" in err
         assert "Traceback" not in err
+
+    def test_solve_2ec_outside_subtour_relaxation(self, tmp_path, capsys):
+        # inside [0, 2]^E, but every vertex cut is 1; the certificate used to
+        # come out with C = 2 and then fail `fdt verify` on its premise
+        point_path = tmp_path / "tri-half.json"
+        point_path.write_text(json.dumps({
+            "vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "x": [0.5, 0.5, 0.5]}))
+        assert main(["solve-2ec", "--point", str(point_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: x*: base point violates the cut of vertices")
+        assert err.count("\n") == 1

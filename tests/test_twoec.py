@@ -199,6 +199,24 @@ class TestFdt2ec:
         assert not ok
         assert report == ["base point: coordinate 3 = 2.5 outside [0, 2]"]
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_point_outside_subtour_relaxation_refused(self, mode):
+        # the triangle at 1/2 is in [0, 2]^E, but every vertex cut is 1
+        tri = SubtourPoint(make_graph(3, [(0, 1), (1, 2), (0, 2)]), (Fraction(1, 2),) * 3)
+        with pytest.raises(ValidationError,
+                           match=r"x\*: base point violates the cut of vertices \[\d\]: 1 < 2"):
+            fdt_2ec(tri, mode=mode)
+
+    def test_premise_checked_with_one_min_cut(self, monkeypatch):
+        from fdt import twoec
+        calls = []
+        monkeypatch.setattr(twoec, "global_min_cut",
+                            lambda g, x: calls.append(tuple(x)) or global_min_cut(g, x))
+        # integral, so the tree only settles: one cut for the premise, one
+        # for the leaf's 2EC check
+        fdt_2ec(square())
+        assert calls == [square().x, (1, 1, 1, 1)]
+
     def test_negative_weight_rejected(self):
         # the 8-cycle twice, weighted 3/2 and -1/2: every other check passes
         cycle = (1,) * 8 + (0,) * 4
