@@ -15,8 +15,7 @@ import math
 from fractions import Fraction
 
 from . import lp
-from .model import (ZERO_TOL, ValidationError, check_integer_feasible, is_integral,
-                    is_zero, support)
+from .model import ZERO_TOL, ValidationError, check_integer_feasible, is_integral, support
 
 
 class UnboundedGapOrInfeasible(RuntimeError):
@@ -80,34 +79,20 @@ def _covering_optimum(inst, u, pinned, target):
 
 
 def _helper_by_lp(inst, x_cur, finalized, target, mode):
-    """helper_lp by solving the LP, for instances with negative coefficients."""
-    exact = mode == "rational"
-    zero = Fraction(0) if exact else 0.0
-    lower = [zero] * inst.num_vars
-    upper = list(x_cur)
+    """helper_lp by solving the LP, for instances with negative coefficients.
+    The LP has every column; a zero-capped one is fixed at 0 by its bounds."""
+    lower = [Fraction(0) if mode == "rational" else 0.0] * inst.num_vars
     for j in finalized:
         lower[j] = x_cur[j]
-    # zero-capped columns are fixed at 0 and dropped from the LP outright
-    active = [j for j in range(inst.num_vars) if not is_zero(upper[j])]
-    col_of = {j: k for k, j in enumerate(active)}
-    prob = lp.LpProblem(
-        num_cols=len(active),
-        lower=[lower[j] for j in active],
-        upper=[upper[j] for j in active],
-        objective=[1 if j == target else 0 for j in active],
-    )
-    for row in inst.rows:
-        coef = {col_of[i]: c for i, c in row.coef.items() if i in col_of}
-        rhs = row.rhs
-        # zero-fixed columns contribute nothing
-        prob.add_row(coef, ">=", rhs)
-    out = lp.solve(prob, mode=mode)
-    if out.status == lp.OPTIMAL and out.solution is not None:
-        full = [zero] * inst.num_vars
-        for j, k in col_of.items():
-            full[j] = out.solution[k]
-        out.solution = full
-    return out
+    objective = [0] * inst.num_vars
+    objective[target] = 1
+    prob = lp.LpProblem(num_cols=inst.num_vars, lower=lower, upper=list(x_cur),
+                        objective=objective)
+    # the instance's exact rows in both modes, so that a float failure
+    # falls back on its own numbers
+    start, index, values, rhs = inst.row_matrix.arrays(True)
+    prob.add_rows(start, index, values, lp.GE, rhs)
+    return lp.solve(prob, mode=mode)
 
 
 def dom_to_ip(inst, x_tilde, mode="float"):

@@ -150,8 +150,10 @@ def _solve_relaxation(inst, mode):
         upper=[inst.var_upper] * inst.num_vars,
         objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
     )
-    for row in inst.rows:
-        prob.add_row(dict(row.coef), ">=", row.rhs)
+    # the instance's exact rows in both modes, so that a float failure
+    # falls back on its own numbers
+    start, index, values, rhs = inst.row_matrix.arrays(True)
+    prob.add_rows(start, index, values, lp.GE, rhs)
     out = lp.solve(prob, mode=mode)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"relaxation {out.status}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .graphs import Graph, GraphError, make_graph
-from .model import BINARY, make_instance
+from .model import BINARY, Row, RowMatrix, make_instance
 from .twoec import SubtourPoint, separate_subtour
 
 FRACTIONAL_TOL = 1e-9
@@ -168,16 +168,20 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
     Returns cycle values, or None if no fractional vertex arises."""
     col = {e: i for i, e in enumerate(cycle_idx)}
     path_set = set(path_idx)
+
+    def cut_row(side):
+        crossing = graph.cut_edges(side)
+        return Row({col[e]: 1 for e in crossing if e in col},
+                   2 - sum(1 for e in crossing if e in path_set))
+
     cuts = [frozenset([v]) for v in range(graph.num_vertices)]
     seen = set(cuts)
+    rows = RowMatrix(map(cut_row, cuts))
     for _ in range(200):
         prob = lp.LpProblem(num_cols=len(cycle_idx), upper=[2] * len(cycle_idx),
                             objective=c)
-        for side in cuts:
-            crossing = graph.cut_edges(side)
-            fixed = sum(1 for e in crossing if e in path_set)
-            coef = {col[e]: 1 for e in crossing if e in col}
-            prob.add_row(coef, ">=", 2 - fixed)
+        start, index, values, rhs = rows.arrays(True)
+        prob.add_rows(start, index, values, lp.GE, rhs)
         out = lp.solve(prob, mode="float")
         if out.status != lp.OPTIMAL:
             raise CvGenerationError(
@@ -195,6 +199,7 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
             return None  # separator stuck at tolerance boundary
         seen.add(side)
         cuts.append(side)
+        rows.append(cut_row(side))
     return None
 
 

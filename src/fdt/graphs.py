@@ -41,7 +41,9 @@ class Graph:
 
 def make_graph(num_vertices, edges, require_connected=True):
     g = Graph(int(num_vertices), tuple((int(u), int(v)) for u, v in edges))
-    if require_connected and not is_connected(g):
+    # more vertices than edges + 1 cannot be connected; refusing them first
+    # keeps is_connected from allocating per vertex of a huge count
+    if require_connected and (g.num_vertices > g.num_edges + 1 or not is_connected(g)):
         raise GraphError("graph is not connected")
     return g
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
+from .simplex import EQ, GE, LE
 
 ZERO_OBJ_TOL = 1e-6  # "optimal value is 0" tests in float mode
 
@@ -31,8 +32,6 @@ class LpError(RuntimeError):
     pass
 
 
-# row senses, stored as small ints
-LE, GE, EQ = 0, 1, 2
 _SENSE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
 _SENSE_NAME = ("<=", ">=", "==")
 _NO_ROWS = (np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0),
@@ -44,13 +43,12 @@ class LpProblem:
 
     The rows are kept as CSR arrays (csr()): row r has the entries
     start[r]:start[r+1] of (index, value), its sense (LE, GE or EQ) and its
-    right-hand side.  add_rows appends a block already in CSR form; values
-    and right-hand sides are float64 arrays, or object arrays of exact
-    numbers (ints, Fractions) for the rational backend.  add_row appends
-    one row given as a {column: coef} dict; such rows wait as given until
-    the arrays are first asked for.  rows is a read-only view of all rows
-    as (coef dict, sense, rhs) triples.  An upper bound of None or inf
-    means unbounded.
+    right-hand side.  add_rows appends a block in that form; values and
+    right-hand sides are float64 arrays, or object arrays of exact numbers
+    (ints, Fractions) for the rational backend.  add_row appends one row
+    given as a {column: coef} dict, as a one-row block.  rows is a
+    read-only view of all rows as (coef dict, sense, rhs) triples.  An
+    upper bound of None or inf means unbounded.
     """
 
     def __init__(self, num_cols, lower=None, upper=None, objective=None, maximize=False):
@@ -60,37 +58,27 @@ class LpProblem:
         self.objective = [0] * num_cols if objective is None else objective
         self.maximize = maximize
         self._blocks = []  # (start, index, value, sense, rhs), start from 0
-        self._pending = []  # rows from add_row, as (coef, sense name, rhs)
 
     def add_row(self, coef, sense, rhs):
         if sense not in _SENSE:
             raise ValueError(f"unknown sense {sense!r}")
-        self._pending.append((coef, _SENSE_NAME[_SENSE[sense]], rhs))
+        self.add_rows([0, len(coef)], np.fromiter(coef, np.int64, len(coef)),
+                      np.array(list(coef.values()), dtype=object), _SENSE[sense],
+                      np.array([rhs], dtype=object))
 
     def add_rows(self, start, index, value, sense, rhs):
         """Append rows in CSR form (start from 0); sense is one code for
-        every row or an array of codes."""
-        self._flush()
-        self._blocks.append((np.asarray(start), np.asarray(index), value,
+        every row or an array of codes.  An entry on a column outside
+        [0, num_cols) is a ValueError."""
+        index = np.asarray(index)
+        if len(index) and (index.min() < 0 or index.max() >= self.num_cols):
+            raise ValueError(f"row entry on a column outside [0, {self.num_cols})")
+        self._blocks.append((np.asarray(start), index, value,
                              np.broadcast_to(np.asarray(sense, dtype=np.int8), len(rhs)),
                              rhs))
 
-    def _flush(self):
-        if self._pending:
-            rows = self._pending
-            self._pending = []
-            start = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum([len(coef) for coef, _, _ in rows], out=start[1:])
-            self._blocks.append((
-                start,
-                np.array([i for coef, _, _ in rows for i in coef], dtype=np.int64),
-                np.array([v for coef, _, _ in rows for v in coef.values()], dtype=object),
-                np.array([_SENSE[sense] for _, sense, _ in rows], dtype=np.int8),
-                np.array([rhs for _, _, rhs in rows], dtype=object)))
-
     def csr(self):
         """Every row as one (start, index, value, sense, rhs) tuple of arrays."""
-        self._flush()
         if len(self._blocks) > 1:
             offsets = np.cumsum([0] + [b[0][-1] for b in self._blocks[:-1]])
             start = np.concatenate([[0]] + [b[0][1:] + off
@@ -112,20 +100,14 @@ class _Rows(Sequence):
         self._problem = problem
 
     def __len__(self):
-        problem = self._problem
-        return len(problem._pending) + sum(len(block[4]) for block in problem._blocks)
+        return sum(len(block[4]) for block in self._problem._blocks)
 
     def __getitem__(self, r):
         return list(self)[r]
 
     def __iter__(self):
-        problem = self._problem
-        if not problem._blocks:  # rows from add_row only, as they were given
-            yield from problem._pending
-            return
-        start, index, value, sense, rhs = (a.tolist() for a in problem.csr())
-        for r, (s, v) in enumerate(zip(sense, rhs)):
-            lo, hi = start[r], start[r + 1]
+        start, index, value, sense, rhs = (a.tolist() for a in self._problem.csr())
+        for lo, hi, s, v in zip(start, start[1:], sense, rhs):
             yield dict(zip(index[lo:hi], value[lo:hi])), _SENSE_NAME[s], v
 
 
@@ -141,8 +123,12 @@ def solve(problem, mode):
     """Solve, returning a vertex optimum or a definite infeasible/unbounded.
 
     mode is "rational" (exact) or "float"; float failures fall back to the
-    rational backend.
+    rational backend.  lower, upper and objective need one entry per column.
     """
+    for name in ("lower", "upper", "objective"):
+        if len(getattr(problem, name)) != problem.num_cols:
+            raise ValueError(f"{name} has {len(getattr(problem, name))} entries "
+                             f"for {problem.num_cols} columns")
     if mode == "rational":
         return _solve_rational(problem)
     if mode == "float":

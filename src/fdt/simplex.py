@@ -31,6 +31,9 @@ from math import gcd, inf, lcm
 
 MAX_ITER = 200_000
 
+# the row sense codes of an LpProblem's CSR arrays (fdt.lp re-exports them)
+LE, GE, EQ = 0, 1, 2
+
 
 class CyclingError(RuntimeError):
     """Iteration guard tripped; unreachable under Bland's rule."""
@@ -42,10 +45,10 @@ def _to_equality_form(problem):
     Structural column j is scaled by scale[j], the least common denominator
     of its bounds; one slack column (scale 1) is appended per inequality
     row.  Returns (rows, senses, lo, hi, cost, scale, ncol): rows[k] is
-    (coef, rhs, den), a dict {column: int} and two ints with the row's scaled
-    coefficients coef / den and right-hand side rhs / den, and senses[k] is
-    the row's sense; lo and hi are scaled int bounds (hi None when
-    infinite); cost is (ints, denominator).
+    (cols, nums, den), the row's scaled nonzero coefficients nums[i] / den
+    on the columns cols[i] and its right-hand side nums[-1] / den, and
+    senses[k] is the row's sense code; lo and hi are scaled int bounds (hi
+    None when infinite); cost is (ints, denominator).
     """
     n = problem.num_cols
     lo = [None if v is None else _rational(v) for v in problem.lower]
@@ -67,28 +70,27 @@ def _to_equality_form(problem):
     sign = -1 if problem.maximize else 1
     cost = [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)]
 
-    rows, senses = [], []
+    start, index, value, senses, rhs = (a.tolist() for a in problem.csr())
+    rows = []
     ncol = n
-    for coef, sense, rhs in problem.rows:
-        senses.append(sense)
+    for a, b, sense, r in zip(start, start[1:], senses, rhs):
         cols, ratios = [], []
-        for i, v in coef.items():
+        for i, v in zip(index[a:b], value[a:b]):
             v = _rational(v)
             if v:
                 cols.append(i)
                 ratios.append((v.numerator, v.denominator * scale[i]))
-        if sense != "==":
+        if sense != EQ:
             cols.append(ncol)
-            ratios.append((-1 if sense == ">=" else 1, 1))
+            ratios.append((-1 if sense == GE else 1, 1))
             lo.append(0)
             hi.append(None)
             cost.append((0, 1))
             scale.append(1)
             ncol += 1
-        rhs = _rational(rhs)
-        ratios.append((rhs.numerator, rhs.denominator))
-        nums, den = _common_denominator(ratios)
-        rows.append((dict(zip(cols, nums)), nums[-1], den))
+        r = _rational(r)
+        ratios.append((r.numerator, r.denominator))
+        rows.append((cols,) + _common_denominator(ratios))
     return rows, senses, lo, hi, _common_denominator(cost), scale, ncol
 
 
@@ -138,11 +140,11 @@ class _Tableau:
         self.at_upper = set()
         self.N = []
         self.D = []
-        for coef, rhs, den in rows:
-            r = rhs - sum(v * lo[j] for j, v in coef.items())
+        for cols, nums, den in rows:
+            r = nums[-1] - sum(v * lo[j] for j, v in zip(cols, nums))
             sgn = 1 if r >= 0 else -1
             dense = [0] * (ncol + 1)
-            for j, v in coef.items():
+            for j, v in zip(cols, nums):
                 dense[j] = sgn * v
             dense[ncol] = abs(r)
             self.N.append(dense)
@@ -329,7 +331,7 @@ def solve_rational(problem):
 
 def _recover_duals(senses, num_cols, d):
     """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
-    senses are the rows' senses, num_cols the number of structural columns
+    senses are the rows' sense codes, num_cols the number of structural columns
     and d phase 2's final reduced-cost row as (ints, den).  Slack columns
     are not scaled, and scaling the structural columns leaves c_B B^{-1} as
     it is, so these are the duals of the problem as given."""
@@ -337,10 +339,10 @@ def _recover_duals(senses, num_cols, d):
     duals = []
     col = num_cols
     for sense in senses:
-        if sense == ">=":
+        if sense == GE:
             duals.append(Fraction(d[col], den))  # slack coef is -1: d_s = 0 + y_k
             col += 1
-        elif sense == "<=":
+        elif sense == LE:
             duals.append(Fraction(-d[col], den))
             col += 1
         else:

@@ -94,6 +94,15 @@ class TestSolveAndVerify:
         assert main(["verify", "--certificate", str(cert),
                      "--point", str(cv)]) == 0
 
+    def test_solve_2ec_more_vertices_than_edges_connect(self, tmp_path, capsys):
+        point_path = tmp_path / "sparse.json"
+        point_path.write_text(json.dumps({
+            "vertices": 10**6, "edges": [[0, 1], [1, 2], [2, 3]], "x": [1, 1, 1]}))
+        assert main(["solve-2ec", "--point", str(point_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "graph is not connected" in err
+        assert err.count("\n") == 1
+
 
 class TestDomtoip:
     def test_success_path(self, tap_setup, tmp_path, capsys):

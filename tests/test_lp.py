@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from fdt import lp, simplex
+from fdt import domtoip, generators, lp, simplex
 from fdt.binary import ZERO_TOL, branch_lpc, prune
-from fdt.generators import gen_vc
+from fdt.experiments import _solve_relaxation
+from fdt.generators import cv_support_graph, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import ZEROONETWO, Row, make_instance
-from fdt.twoec import CutPool, SubtourPoint, branch_lpc_2ec
+from fdt.model import ZEROONETWO, Row, is_zero, make_instance
+from fdt.twoec import CutPool, SubtourPoint, branch_lpc_2ec, separate_subtour
 
 
 def triangle_problem(maximize=False):
@@ -41,6 +42,40 @@ class TestModeSelection:
     def test_non_finite_objective_rejected(self, cost, mode):
         with pytest.raises(ValueError, match="non-finite"):
             lp.solve(lp.LpProblem(num_cols=1, upper=[1], objective=[cost]), mode)
+
+
+class TestInputChecks:
+    """A row entry outside the columns, or bounds or an objective of the
+    wrong length, is refused before either backend sees the problem."""
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_column_index_past_the_last(self, mode):
+        # row 1 used to land on row 0's slack column: "optimal", x0 = 6
+        p = lp.LpProblem(num_cols=1, objective=[1])
+        p.add_row({0: 1}, ">=", 1)
+        with pytest.raises(ValueError, match="outside"):
+            p.add_row({1: 1}, ">=", 5)
+        out = lp.solve(p, mode)
+        assert (out.status, out.solution) == (lp.OPTIMAL, [1])
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_negative_column_index(self, mode):
+        # used to come back infeasible
+        p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 1])
+        with pytest.raises(ValueError, match="outside"):
+            p.add_rows(np.array([0, 2]), np.array([0, -1]), np.array([1.0, 1.0]), lp.GE,
+                       np.array([1.0]))
+        out = lp.solve(p, mode)
+        assert (out.status, out.solution) == (lp.OPTIMAL, [0, 0])
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("name", ["lower", "upper", "objective"])
+    def test_wrong_length(self, name, mode):
+        # upper=[3] on two columns used to reach HiGHS, which answered [3.0, 0.0]
+        p = lp.LpProblem(num_cols=2, **{"objective": [-1, 0], name: [3]})
+        p.add_row({0: 1, 1: 1}, "<=", 5)
+        with pytest.raises(ValueError, match=f"{name} has 1 entries for 2 columns"):
+            lp.solve(p, mode)
 
 
 class TestBackendsAgree:
@@ -120,10 +155,11 @@ def linprog_oracle(problem):
         method="highs-ds")
 
 
-def random_lp(rng):
+def random_lp(rng, block=False):
     """Mixed senses, equality rows, open upper bounds, either direction,
     explicit zero coefficients; rows tight at a point, so many are
-    degenerate.  A few are unbounded."""
+    degenerate.  A few are unbounded.  The rows are added one at a time
+    with add_row, or with block as one add_rows block."""
     n = rng.randint(2, 8)
     p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
     p.objective = [rng.choice([0, 1, 2, -1, Fraction(1, 3)]) for _ in range(n)]
@@ -131,13 +167,24 @@ def random_lp(rng):
     p.upper = [None if rng.random() < 0.3 else lo + rng.randint(0, 3) for lo in p.lower]
     point = [lo + rng.randint(0, 2) if hi is None else rng.randint(lo, hi)
              for lo, hi in zip(p.lower, p.upper)]
+    rows = []
     for _ in range(rng.randint(1, 8)):
         coef = {i: Fraction(rng.randint(-3, 4), rng.randint(1, 3))
                 for i in rng.sample(range(n), rng.randint(1, n))}
         sense = rng.choice([">=", ">=", "<=", "=="])
         lhs = sum(c * point[i] for i, c in coef.items())
         shift = rng.choice([0, 0, 1, 2]) if sense != "==" else 0
-        p.add_row(coef, sense, lhs - shift if sense == ">=" else lhs + shift)
+        rows.append((coef, sense, lhs - shift if sense == ">=" else lhs + shift))
+    if block:
+        code = {"<=": lp.LE, ">=": lp.GE, "==": lp.EQ}
+        p.add_rows(np.cumsum([0] + [len(coef) for coef, _, _ in rows]),
+                   [i for coef, _, _ in rows for i in coef],
+                   np.array([v for coef, _, _ in rows for v in coef.values()], dtype=object),
+                   [code[sense] for _, sense, _ in rows],
+                   np.array([rhs for _, _, rhs in rows], dtype=object))
+    else:
+        for row in rows:
+            p.add_row(*row)
     return p
 
 
@@ -189,6 +236,34 @@ def reference_prune_lp(nodes, x_star, supp):
     return prob
 
 
+def reference_relaxation_lp(inst):
+    """The relaxation LP as experiments._solve_relaxation built it from row
+    dicts."""
+    prob = lp.LpProblem(
+        num_cols=inst.num_vars,
+        upper=[inst.var_upper] * inst.num_vars,
+        objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
+    )
+    for row in inst.rows:
+        prob.add_row(dict(row.coef), ">=", row.rhs)
+    return prob
+
+
+def reference_cycle_lp(graph, cycle_idx, path_idx, c, cuts):
+    """One round's LP of generators._solve_cycle_lp as it was built from row
+    dicts, every cut's row again in every round."""
+    col = {e: i for i, e in enumerate(cycle_idx)}
+    path_set = set(path_idx)
+    prob = lp.LpProblem(num_cols=len(cycle_idx), upper=[2] * len(cycle_idx),
+                        objective=c)
+    for side in cuts:
+        crossing = graph.cut_edges(side)
+        fixed = sum(1 for e in crossing if e in path_set)
+        coef = {col[e]: 1 for e in crossing if e in col}
+        prob.add_row(coef, ">=", 2 - fixed)
+    return prob
+
+
 def built_lps(monkeypatch, build):
     """The LpProblems that build() hands to lp.solve."""
     problems = []
@@ -208,7 +283,9 @@ def cv8():
 def node_lps(monkeypatch, mode):
     """(built, reference) pairs: the branching LPs of a binary VC node, a
     {0,1,2} node with fixed rows and a 2EC node with pinned rows and a grown
-    cut pool, and the pruning LP of the VC node's children."""
+    cut pool, the pruning LP of the VC node's children, the relaxations of
+    the VC and {0,1,2} instances and, in float mode (the only mode gen_cv
+    solves in), both rounds of a cycle LP that separates one cut."""
     exact = mode == "rational"
     num = Fraction if exact else float
     pairs = []
@@ -251,6 +328,27 @@ def node_lps(monkeypatch, mode):
     built = built_lps(monkeypatch, lambda: branch_lpc_2ec(pt.graph, x, 2, cut_pool=pool,
                                                           mode=mode))
     pairs.append((built[0], reference_branching_lp(x, 2, 2, rows, pinned, {}, mode)))
+
+    for inst in (vc, tri):
+        [built] = built_lps(monkeypatch, lambda: _solve_relaxation(inst, mode))
+        pairs.append((built, reference_relaxation_lp(inst)))
+
+    if not exact:
+        graph, cycle_idx, path_idx = cv_support_graph(
+            10, ((0, 2), (1, 5), (3, 7), (4, 8), (6, 9)))
+        rng = random.Random(0)
+        c = [rng.uniform(0.5, 1.5) for _ in cycle_idx]
+        sides = []
+        monkeypatch.setattr(generators, "separate_subtour",
+                            lambda *args: sides.append(separate_subtour(*args)) or sides[-1])
+        built = built_lps(monkeypatch, lambda: generators._solve_cycle_lp(
+            graph, cycle_idx, path_idx, c))
+        monkeypatch.setattr(generators, "separate_subtour", separate_subtour)
+        assert len(built) == 2 and sides[0] is not None and sides[1] is None
+        cuts = [frozenset([v]) for v in range(graph.num_vertices)]
+        pairs.append((built[0], reference_cycle_lp(graph, cycle_idx, path_idx, c, cuts)))
+        pairs.append((built[1], reference_cycle_lp(graph, cycle_idx, path_idx, c,
+                                                   cuts + [sides[0]])))
     return pairs
 
 
@@ -281,6 +379,101 @@ class TestBlockBuilders:
                 assert set(coef) == set(ref_coef)
                 assert (_values([coef[k] for k in ref_coef], exact)
                         == _values(ref_coef.values(), exact))
+
+
+class TestOneRowStore:
+    """add_row is add_rows with a one-row block."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_add_row_equals_one_block(self, seed):
+        one_by_one = random_lp(random.Random(seed))
+        block = random_lp(random.Random(seed), block=True)
+        for a, b in zip(one_by_one.csr(), block.csr()):
+            assert a.tolist() == b.tolist()
+        assert list(one_by_one.rows) == list(block.rows)
+        assert simplex.solve_rational(one_by_one) == simplex.solve_rational(block)
+
+
+def reference_helper_by_lp(inst, x_cur, finalized, target, mode):
+    """domtoip._helper_by_lp as it was built from row dicts: zero-capped
+    columns dropped from the LP and the solution expanded again."""
+    exact = mode == "rational"
+    zero = Fraction(0) if exact else 0.0
+    lower = [zero] * inst.num_vars
+    upper = list(x_cur)
+    for j in finalized:
+        lower[j] = x_cur[j]
+    active = [j for j in range(inst.num_vars) if not is_zero(upper[j])]
+    col_of = {j: k for k, j in enumerate(active)}
+    prob = lp.LpProblem(
+        num_cols=len(active),
+        lower=[lower[j] for j in active],
+        upper=[upper[j] for j in active],
+        objective=[1 if j == target else 0 for j in active],
+    )
+    for row in inst.rows:
+        coef = {col_of[i]: c for i, c in row.coef.items() if i in col_of}
+        prob.add_row(coef, ">=", row.rhs)
+    out = lp.solve(prob, mode=mode)
+    if out.status == lp.OPTIMAL and out.solution is not None:
+        full = [zero] * inst.num_vars
+        for j, k in col_of.items():
+            full[j] = out.solution[k]
+        out.solution = full
+    return out
+
+
+def mixed_sign_instance(rng):
+    """Rows with >=, <= and == senses (at least one of the last two), all
+    tight or slack at one 0/1 point, so the instance is feasible and not
+    covering."""
+    n = rng.randint(2, 6)
+    z = [rng.randint(0, 1) for _ in range(n)]
+    rows = []
+    senses = [rng.choice(["<=", "=="])] + [rng.choice([">=", ">=", "<=", "=="])
+                                           for _ in range(rng.randint(1, 4))]
+    for sense in senses:
+        coef = {i: rng.choice([1, 1, 2, -1, Fraction(1, 3), Fraction(-2, 3)])
+                for i in rng.sample(range(n), rng.randint(1, n))}
+        lhs = sum(c * z[i] for i, c in coef.items())
+        slack = rng.choice([0, 0, 1]) if sense != "==" else 0
+        rows.append((coef, lhs - slack if sense == ">=" else lhs + slack, sense))
+    return make_instance(n, rows)
+
+
+class TestHelperLpAllColumns:
+    """The helper LP keeps every column, a zero-capped one fixed at 0; on
+    instances with <= and == rows it has the status and optimal value of the
+    LP without those columns, and dom_to_ip returns what it returned."""
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_status_value_and_dom_to_ip(self, monkeypatch, seed, mode):
+        rng = random.Random(seed)
+        inst = mixed_sign_instance(rng)
+        assert not inst.covering
+        num = Fraction if mode == "rational" else float
+        for _ in range(4):
+            x_cur = [num(rng.randint(0, 2)) for _ in range(inst.num_vars)]
+            finalized = rng.sample(range(inst.num_vars), rng.randint(0, inst.num_vars - 1))
+            target = rng.choice([j for j in range(inst.num_vars) if j not in finalized])
+            out = domtoip._helper_by_lp(inst, x_cur, finalized, target, mode)
+            ref = reference_helper_by_lp(inst, x_cur, finalized, target, mode)
+            assert (out.status, out.objective) == (ref.status, ref.objective)
+
+        points = [[rng.randint(0, 1) for _ in range(inst.num_vars)] for _ in range(4)]
+
+        def results():
+            found = []
+            for point in points:
+                try:
+                    found.append(domtoip.dom_to_ip(inst, point, mode=mode))
+                except domtoip.UnboundedGapOrInfeasible as exc:
+                    found.append(str(exc))
+            return found
+        got = results()
+        monkeypatch.setattr(domtoip, "_helper_by_lp", reference_helper_by_lp)
+        assert got == results()
 
 
 class TestHighsMatchesLinprog:

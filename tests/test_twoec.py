@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,19 @@ class TestFdt2ec:
         for broken in ({k: v for k, v in d.items() if k != "x"}, dict(d, x=3), [1, 2]):
             with pytest.raises(ValidationError):
                 point_from_dict(broken)
+
+    def test_vertex_count_beyond_edges_refused_before_allocating(self):
+        # three edges connect at most four vertices; refusing a million used
+        # to build a million adjacency lists first (64 MB)
+        d = {"vertices": 10**6, "edges": [[0, 1], [1, 2], [2, 3]], "x": [1, 1, 1]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="graph is not connected"):
+                point_from_dict(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_point_serialization_round_trip(self):
         pt = cv8()
