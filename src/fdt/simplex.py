@@ -48,7 +48,8 @@ def _to_equality_form(problem):
     (cols, nums, den), the row's scaled nonzero coefficients nums[i] / den
     on the columns cols[i] and its right-hand side nums[-1] / den, and
     senses[k] is the row's sense code; lo and hi are scaled int bounds (hi
-    None when infinite); cost is (ints, denominator).
+    None when infinite); cost is (ints, denominator).  A row with two
+    nonzero entries on one column is a ValueError.
     """
     n = problem.num_cols
     lo = [None if v is None else _rational(v) for v in problem.lower]
@@ -73,13 +74,15 @@ def _to_equality_form(problem):
     start, index, value, senses, rhs = (a.tolist() for a in problem.csr())
     rows = []
     ncol = n
-    for a, b, sense, r in zip(start, start[1:], senses, rhs):
+    for k, (a, b, sense, r) in enumerate(zip(start, start[1:], senses, rhs)):
         cols, ratios = [], []
         for i, v in zip(index[a:b], value[a:b]):
             v = _rational(v)
             if v:
                 cols.append(i)
                 ratios.append((v.numerator, v.denominator * scale[i]))
+        if len(set(cols)) < len(cols):
+            raise ValueError(f"row {k} has a repeated column")
         if sense != EQ:
             cols.append(ncol)
             ratios.append((-1 if sense == GE else 1, 1))

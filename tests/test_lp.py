@@ -77,6 +77,38 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"{name} has 1 entries for 2 columns"):
             lp.solve(p, mode)
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("bound", [-math.inf, math.nan, math.inf, None])
+    def test_non_finite_lower_bound(self, monkeypatch, bound, mode):
+        # lower=[-inf] used to solve in float mode (x0 = -5.0) and raise
+        # OverflowError in rational mode
+        def backend(problem):
+            raise AssertionError("a backend ran")
+        monkeypatch.setattr(lp, "_solve_float", backend)
+        monkeypatch.setattr(lp, "_solve_rational", backend)
+        p = lp.LpProblem(num_cols=1, lower=[bound], upper=[1], objective=[1])
+        p.add_row({0: 1}, ">=", -5)
+        with pytest.raises(ValueError, match="lower bounds must be finite"):
+            lp.solve(p, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_repeated_column_in_a_row(self, mode):
+        # x0 + x0 >= 2 on x0 in [0, 1] used to come back infeasible: both
+        # backends kept only the last entry
+        p = lp.LpProblem(num_cols=1, upper=[1], objective=[1])
+        p.add_rows(np.array([0, 2]), np.array([0, 0]), np.array([1.0, 1.0]), lp.GE,
+                   np.array([2.0]))
+        with pytest.raises(ValueError, match="row 0 has a repeated column"):
+            lp.solve(p, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_one_column_in_several_rows(self, mode):
+        p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 2])
+        p.add_rows(np.array([0, 1, 3]), np.array([0, 0, 1]), np.array([1.0, 1.0, 1.0]),
+                   lp.GE, np.array([0.5, 1.0]))
+        out = lp.solve(p, mode)
+        assert (out.status, out.solution) == (lp.OPTIMAL, [1, 0])
+
 
 class TestBackendsAgree:
     def test_triangle_both_modes(self):
