@@ -131,9 +131,10 @@ def solve(problem, mode):
 
     mode is "rational" (exact) or "float"; float failures fall back to the
     rational backend.  lower, upper and objective need one entry per column,
-    and every lower bound must be a finite number.  A row with two nonzero
-    entries on one column is a ValueError in both modes (HiGHS refuses the
-    model, and the exact backend raises).
+    every lower bound must be a finite number, and every upper bound a
+    number, +inf or None (both unbounded), not NaN or -inf.  A row with
+    two nonzero entries on one column is a ValueError in both modes (HiGHS
+    refuses the model, and the exact backend raises).
     """
     for name in ("lower", "upper", "objective"):
         if len(getattr(problem, name)) != problem.num_cols:
@@ -141,6 +142,8 @@ def solve(problem, mode):
                              f"for {problem.num_cols} columns")
     if any(v is None or v != v or abs(v) == inf for v in problem.lower):  # v != v: NaN
         raise ValueError("lower bounds must be finite")
+    if any(v is not None and (v != v or v == -inf) for v in problem.upper):
+        raise ValueError("upper bounds must not be NaN or -inf")
     if mode == "rational":
         return _solve_rational(problem)
     if mode == "float":

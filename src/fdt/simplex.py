@@ -5,6 +5,15 @@ any float solver, but every optimum it returns is an exact vertex of the
 feasible region, which the pruning step downstream relies on.  Intended for
 small problems (a few hundred nonzeros); the float backend handles the rest.
 
+The start puts every column at its lower bound and makes each inequality
+row's slack basic when the slack is then nonnegative: with r = rhs - a.lo,
+a <= row with r >= 0 or a >= row with r <= 0 (the slack basis of
+production simplex codes; Bixby, ORSA J. Computing 1992).  Only equality
+rows and rows the start violates get an artificial, and phase 1 drives
+those to zero.  The branching and pruning LPs are homogeneous except for a
+few rows, so most of their rows start at the slack and phase 1 has little
+to do.
+
 The tableau holds no fractions.  Each row is a list of Python ints N plus
 one positive int denominator D, so that entry j of the row is N[j] / D
 exactly; the entry past the last column holds the row's basic value the
@@ -20,10 +29,11 @@ every ratio of that pivot step by the same s and keeps every sign, so it
 changes no comparison.
 
 Bland's rule therefore reads the same signs and makes the same
-comparisons as a Fraction tableau would, and the pivot sequence, vertex,
-basis and duals are those of the Fraction simplex.  Fractions appear only
-at the edges: reading the problem, and returning values, objective and
-duals.
+comparisons as a Fraction tableau would: from the same starting basis, the
+pivot sequence, vertex, basis and duals are those of a Fraction simplex.
+A different start can end at a different optimal vertex of a degenerate
+LP, with the same optimal value.  Fractions appear only at the edges:
+reading the problem, and returning values, objective and duals.
 """
 
 from fractions import Fraction
@@ -44,12 +54,14 @@ def _to_equality_form(problem):
 
     Structural column j is scaled by scale[j], the least common denominator
     of its bounds; one slack column (scale 1) is appended per inequality
-    row.  Returns (rows, senses, lo, hi, cost, scale, ncol): rows[k] is
-    (cols, nums, den), the row's scaled nonzero coefficients nums[i] / den
-    on the columns cols[i] and its right-hand side nums[-1] / den, and
-    senses[k] is the row's sense code; lo and hi are scaled int bounds (hi
-    None when infinite); cost is (ints, denominator).  A row with two
-    nonzero entries on one column is a ValueError.
+    row, as the last of the row's columns.  Returns (rows, slacks, lo, hi,
+    cost, scale, ncol): rows[k] is (cols, nums, den), the row's scaled
+    nonzero coefficients nums[i] / den on the columns cols[i] and its
+    right-hand side nums[-1] / den; slacks[k] is (column, coefficient) for
+    row k's slack, the coefficient +1 on a <= row and -1 on a >= row, and
+    None on an equality row; lo and hi are scaled int bounds (hi None when
+    infinite); cost is (ints, denominator).  A row with two nonzero entries
+    on one column is a ValueError.
     """
     n = problem.num_cols
     lo = [None if v is None else _rational(v) for v in problem.lower]
@@ -72,7 +84,7 @@ def _to_equality_form(problem):
     cost = [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)]
 
     start, index, value, senses, rhs = (a.tolist() for a in problem.csr())
-    rows = []
+    rows, slacks = [], []
     ncol = n
     for k, (a, b, sense, r) in enumerate(zip(start, start[1:], senses, rhs)):
         cols, ratios = [], []
@@ -83,9 +95,12 @@ def _to_equality_form(problem):
                 ratios.append((v.numerator, v.denominator * scale[i]))
         if len(set(cols)) < len(cols):
             raise ValueError(f"row {k} has a repeated column")
-        if sense != EQ:
+        if sense == EQ:
+            slacks.append(None)
+        else:
+            slacks.append((ncol, -1 if sense == GE else 1))
             cols.append(ncol)
-            ratios.append((-1 if sense == GE else 1, 1))
+            ratios.append((slacks[-1][1], 1))
             lo.append(0)
             hi.append(None)
             cost.append((0, 1))
@@ -94,7 +109,7 @@ def _to_equality_form(problem):
         r = _rational(r)
         ratios.append((r.numerator, r.denominator))
         rows.append((cols,) + _common_denominator(ratios))
-    return rows, senses, lo, hi, _common_denominator(cost), scale, ncol
+    return rows, slacks, lo, hi, _common_denominator(cost), scale, ncol
 
 
 def _rational(v):
@@ -111,49 +126,37 @@ def _common_denominator(ratios):
     return [v // g for v in nums], den // g
 
 
-def _eliminate(row, den, e, nz, p_den):
-    """row / den minus row[e] / den times the pivot row, whose nonzeros are
-    nz as (column, int) pairs over p_den = its entry in column e.  Returns
-    the new (row, den), divided by their gcd."""
-    f = row[e]
-    g = gcd(f, p_den)
-    p, q = p_den // g, f // g
-    if p != 1:
-        row = [v * p for v in row]
-        den *= p
-    for j, v in nz:
-        row[j] -= q * v
-    g = gcd(den, *row)
-    if g != 1:
-        row = [v // g for v in row]
-        den //= g
-    return row, den
-
-
 class _Tableau:
-    def __init__(self, rows, lo, hi, ncol):
+    def __init__(self, rows, slacks, lo, hi, ncol):
         self.m = len(rows)
         self.n = ncol
         self.lo = lo
         self.hi = hi
         # columns that may enter the basis, in Bland order; fixed ones never do
         self.movable = [j for j in range(ncol) if lo[j] != hi[j]]
-        # nonbasic start: everything at its lower bound; each row's sign is
-        # chosen so that its artificial starts at a nonnegative value
+        # start: every nonbasic column at its lower bound.  A row whose
+        # slack is then nonnegative starts with the slack basic; every other
+        # row gets an artificial (index n + k for row k, never re-entering).
+        # Each row's sign is chosen so that its basic variable has entry D
+        # (coefficient 1) and starts at a nonnegative value.
         self.at_upper = set()
         self.N = []
         self.D = []
-        for cols, nums, den in rows:
+        self.basis = []
+        for k, ((cols, nums, den), slack) in enumerate(zip(rows, slacks)):
             r = nums[-1] - sum(v * lo[j] for j, v in zip(cols, nums))
-            sgn = 1 if r >= 0 else -1
+            if slack is not None and slack[1] * r >= 0:
+                sgn = slack[1]
+                self.basis.append(slack[0])
+            else:
+                sgn = 1 if r >= 0 else -1
+                self.basis.append(ncol + k)
             dense = [0] * (ncol + 1)
             for j, v in zip(cols, nums):
                 dense[j] = sgn * v
-            dense[ncol] = abs(r)
+            dense[ncol] = sgn * r
             self.N.append(dense)
             self.D.append(den)
-        # artificial basis; artificial for row k has index n + k and never re-enters
-        self.basis = [ncol + k for k in range(self.m)]
         self.d = None  # reduced-cost row of the current phase, as (ints, den)
 
     def values(self, count, scale):
@@ -183,10 +186,16 @@ class _Tableau:
         g = gcd(den, *d)
         return [v // g for v in d], den // g
 
-    def _pivot(self, r, e, leave_at, enter_at):
+    def _pivot(self, r, e, col, leave_at, enter_at):
         """Make column e basic in row r: the leaving variable goes to the
         value leave_at and e takes the value enter_at plus the step (the
-        two bounds, scaled, that they sit at)."""
+        two bounds, scaled, that they sit at).  col lists the rows with a
+        nonzero in column e as (row, entry) pairs.
+
+        Every other such row, and the reduced-cost row, becomes itself
+        minus its entry f in column e times the pivot row, whose nonzeros
+        are nz over p_den = its entry in column e, and is then divided by
+        its gcd."""
         N, D, n = self.N, self.D, self.n
         row = N[r]
         if leave_at:
@@ -198,11 +207,27 @@ class _Tableau:
             row = [v // g for v in row]
         p_den = row[e]
         nz = [(j, v) for j, v in enumerate(row) if v]
-        for i, Ni in enumerate(N):
-            if Ni[e] and i != r:
-                N[i], D[i] = _eliminate(Ni, D[i], e, nz, p_den)
         if self.d is not None and self.d[0][e]:
-            self.d = _eliminate(*self.d, e, nz, p_den)
+            col = [*col, (-1, self.d[0][e])]  # row -1: the reduced costs
+        for i, f in col:
+            if i == r:
+                continue
+            Ni, den = self.d if i < 0 else (N[i], D[i])
+            g = gcd(f, p_den)
+            p, q = p_den // g, f // g
+            if p != 1:
+                Ni = [v * p for v in Ni]
+                den *= p
+            for j, v in nz:
+                Ni[j] -= q * v
+            g = gcd(den, *Ni)
+            if g != 1:
+                Ni = [v // g for v in Ni]
+                den //= g
+            if i < 0:
+                self.d = Ni, den
+            else:
+                N[i], D[i] = Ni, den
         row[n] += enter_at * p_den
         N[r], D[r] = row, p_den
 
@@ -278,7 +303,7 @@ class _Tableau:
             basic.add(enter)
             basis[leave] = enter
             at_upper.discard(enter)
-            self._pivot(leave, enter, leave_at, enter_at)
+            self._pivot(leave, enter, col, leave_at, enter_at)
         raise CyclingError("simplex iteration limit exceeded")
 
     def drive_out_artificials(self):
@@ -297,7 +322,8 @@ class _Tableau:
             enter_at = self.hi[piv_col] if piv_col in self.at_upper else self.lo[piv_col]
             self.basis[i] = piv_col
             self.at_upper.discard(piv_col)
-            self._pivot(i, piv_col, 0, enter_at)
+            col = [(k, Nk[piv_col]) for k, Nk in enumerate(self.N) if Nk[piv_col]]
+            self._pivot(i, piv_col, col, 0, enter_at)
         for i in reversed(drop):
             del self.N[i], self.D[i], self.basis[i]
             self.m -= 1
@@ -310,8 +336,8 @@ def solve_rational(problem):
     basic column indices (structural and slack); duals has one multiplier per
     original row, None for equality rows (they have no slack to read it from).
     """
-    rows, senses, lo, hi, cost, scale, ncol = _to_equality_form(problem)
-    tab = _Tableau(rows, lo, hi, ncol)
+    rows, slacks, lo, hi, cost, scale, ncol = _to_equality_form(problem)
+    tab = _Tableau(rows, slacks, lo, hi, ncol)
 
     tab.run(([0] * ncol, 1), art_cost=1)
     # artificials never go negative, so phase 1 reached 0 iff each one is 0
@@ -326,28 +352,18 @@ def solve_rational(problem):
     x = tab.values(problem.num_cols, scale)
     obj = sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))
     basis = sorted(j for j in tab.basis if j < ncol)
-    duals = _recover_duals(senses, problem.num_cols, tab.d)
+    duals = _recover_duals(slacks, tab.d)
     if problem.maximize:
         duals = [None if y is None else -y for y in duals]
     return "optimal", x, obj, basis, duals
 
 
-def _recover_duals(senses, num_cols, d):
+def _recover_duals(slacks, d):
     """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
-    senses are the rows' sense codes, num_cols the number of structural columns
-    and d phase 2's final reduced-cost row as (ints, den).  Slack columns
-    are not scaled, and scaling the structural columns leaves c_B B^{-1} as
-    it is, so these are the duals of the problem as given."""
+    slacks are the rows' (column, coefficient) pairs from _to_equality_form
+    and d phase 2's final reduced-cost row as (ints, den).  The slack's
+    reduced cost is 0 - y_k * coefficient, and the coefficient is +-1.
+    Slack columns are not scaled, and scaling the structural columns leaves
+    c_B B^{-1} as it is, so these are the duals of the problem as given."""
     d, den = d
-    duals = []
-    col = num_cols
-    for sense in senses:
-        if sense == GE:
-            duals.append(Fraction(d[col], den))  # slack coef is -1: d_s = 0 + y_k
-            col += 1
-        elif sense == LE:
-            duals.append(Fraction(-d[col], den))
-            col += 1
-        else:
-            duals.append(None)
-    return duals
+    return [None if s is None else Fraction(-s[1] * d[s[0]], den) for s in slacks]

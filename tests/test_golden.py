@@ -1,10 +1,15 @@
 """Golden outputs of the exact simplex, the rational tree and the float 2EC tree.
 
-Bland's rule fixes the pivot sequence, so the exact simplex must return the
-same vertex, basis and duals however its arithmetic is organised, and the
-rational tree built on it must return the same certificates.  The expected
-values in golden_rational.json were recorded from the dense-pivot simplex
-that preceded the sparse one.
+Bland's rule and the starting basis fix the pivot sequence, so the exact
+simplex must return the same vertex, basis and duals however its arithmetic
+is organised, and the rational tree built on it must return the same
+certificates.  The expected values in golden_rational.json were recorded
+from the dense-pivot simplex that preceded the sparse one, and regenerated
+when the simplex moved from an all-artificial start to the slack basis.
+From the new start Bland's rule ends at another optimal basis of some
+degenerate LPs: degenerate-origin, fixed-column and random-14 changed their
+basis and duals (status, vertex and objective stayed), and the tree's
+certificate on atlas-43 kept C = 4/3 with other solutions.
 
 golden_float_2ec.json pins the float 2EC tree on cv8() and four seeded
 cycle points.  Its certificates depend on which optimal vertex HiGHS returns
@@ -20,7 +25,12 @@ bounds of denominator up to 12, negative entries and negative lower bounds,
 and the branching and pruning LPs that the rational tree solves on atlas
 graph 45 (stored with the problems, so each one is checked on its own).  It
 was recorded from the Fraction-tableau simplex that preceded the integer-row
-one.
+one, and regenerated with the slack-basis start: wide-9 and wide-10 changed
+their basis and duals; six of the atlas-45 branching LPs ended at another
+optimal basis, three of them at another vertex, so four of the pruning LPs
+after them are other LPs.  Every stored LP kept its status and objective.
+test_pivot_counts pins the number of pivots, which the start cut by more
+than half.
 
 Regenerate the files (``PYTHONPATH=src python tests/test_golden.py``) only
 when a change of pivot rule, LP model or cut order is intended.
@@ -36,7 +46,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from fdt import binary, lp
+from fdt import binary, lp, simplex
 from fdt.binary import fdt_tree
 from fdt.experiments import _solve_relaxation
 from fdt.generators import gen_cv, gen_vc
@@ -50,6 +60,11 @@ from test_twoec import cv8
 GOLDEN = Path(__file__).with_name("golden_rational.json")
 GOLDEN_2EC = Path(__file__).with_name("golden_float_2ec.json")
 GOLDEN_LPS = Path(__file__).with_name("golden_simplex.json")
+
+# _Tableau._pivot calls over the 11 atlas-45 LPs of golden_simplex.json, and
+# over the rational tree on golden_graphs() (relaxations excluded)
+ATLAS_PIVOTS = 103
+TREE_PIVOTS = 215
 
 
 def _random_lp(rng):
@@ -295,6 +310,32 @@ def test_atlas_lps_match_golden():
                          ids=[name for name, _ in golden_graphs()])
 def test_rational_tree_matches_golden(name, graph):
     assert certificate_record(graph) == _load()["certificates"][name]
+
+
+def test_pivot_counts(monkeypatch):
+    """The exact simplex's pivots on the atlas-45 LPs and on the rational
+    tree over the golden graphs, so that a change to the starting basis
+    or the pivot rule shows up here."""
+    pivots = [0]
+    real = simplex._Tableau._pivot
+
+    def counting(self, *args):
+        pivots[0] += 1
+        return real(self, *args)
+
+    atlas = [problem_from_dict(case["problem"]) for case in _load(GOLDEN_LPS)["atlas"].values()]
+    starts = []
+    for _, graph in golden_graphs():
+        inst = gen_vc(graph)
+        starts.append((inst, _solve_relaxation(inst, "rational")[1]))
+    monkeypatch.setattr(simplex._Tableau, "_pivot", counting)
+    for problem in atlas:
+        solve_rational(problem)
+    assert pivots[0] == ATLAS_PIVOTS
+    pivots[0] = 0
+    for inst, x in starts:
+        fdt_tree(inst, x, mode="rational")
+    assert pivots[0] == TREE_PIVOTS
 
 
 @pytest.mark.parametrize("name,point", golden_points(),

@@ -92,6 +92,28 @@ class TestInputChecks:
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("bound", [-math.inf, math.nan])
+    def test_nan_or_minus_inf_upper_bound(self, monkeypatch, bound, mode):
+        # upper=[-inf] used to raise OverflowError in both modes (float mode
+        # fell back to the exact simplex), and NaN "cannot convert NaN"
+        def backend(problem):
+            raise AssertionError("a backend ran")
+        monkeypatch.setattr(lp, "_solve_float", backend)
+        monkeypatch.setattr(lp, "_solve_rational", backend)
+        p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])
+        p.add_row({0: 1}, ">=", Fraction(1, 2))
+        with pytest.raises(ValueError, match="upper bounds must not be NaN or -inf"):
+            lp.solve(p, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("bound", [math.inf, None])
+    def test_unbounded_upper_bound(self, bound, mode):
+        p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])
+        p.add_row({0: 1}, ">=", Fraction(1, 2))
+        out = lp.solve(p, mode)
+        assert (out.status, out.solution) == (lp.OPTIMAL, [Fraction(1, 2)])
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_repeated_column_in_a_row(self, mode):
         # x0 + x0 >= 2 on x0 in [0, 1] used to come back infeasible: both
         # backends kept only the last entry

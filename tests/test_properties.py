@@ -1,7 +1,8 @@
 """Property tests: on random covering instances, binary and {0,1,2}, the
 tree's certificates verify, exactly in rational mode, and dom_to_ip's helper
 LP has the same optimum in closed form as by solving the LP; on random
-bounded LPs the exact simplex agrees with HiGHS on the optimum."""
+bounded LPs the exact simplex agrees with HiGHS on the optimum and returns
+a basic solution."""
 
 from fractions import Fraction
 
@@ -130,3 +131,38 @@ def test_exact_optimum_matches_highs(problem):
     status, _, obj, _, _ = solve_rational(problem)
     assert status == "optimal"
     assert abs(float(obj) - out.objective) <= 1e-6 * (1 + abs(float(obj)))
+
+
+def _rank(vectors):
+    """The rank of a list of equal-length Fraction vectors, exactly."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bounded_lps())
+def test_exact_optimum_is_basic(problem):
+    """The columns strictly inside their bounds, together with the slacks of
+    the rows not tight at x, are linearly independent: x is a vertex, which
+    the pruning LP relies on."""
+    status, x, _, _, _ = solve_rational(problem)
+    assume(status == "optimal")
+    rows = problem.rows
+    m = len(rows)
+    vectors = [[Fraction(coef.get(j, 0)) for coef, _, _ in rows]
+               for j in range(problem.num_cols)
+               if problem.lower[j] < x[j] < problem.upper[j]]
+    for k, (coef, _, rhs) in enumerate(rows):
+        if sum(Fraction(c) * x[i] for i, c in coef.items()) != rhs:
+            vectors.append([Fraction(int(i == k)) for i in range(m)])
+    assert _rank(vectors) == len(vectors)

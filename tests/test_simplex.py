@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fdt import lp
-from fdt.simplex import solve_rational
+from fdt import lp, simplex
+from fdt.simplex import _Tableau, _to_equality_form, solve_rational
 
 
 def prob(num_cols, rows, lower=None, upper=None, objective=None, maximize=False):
@@ -102,6 +102,85 @@ class TestDegenerate:
             prob(2, [({0: 1, 1: -1}, ">=", 0)], upper=[1, 1],
                  objective=[1, 1]))
         assert status == "optimal" and obj == 0
+
+
+def start_basis(problem):
+    """'slack' or 'artificial' per row: the variable the row starts with
+    basic.  Also checks that the basic variable has coefficient 1 and a
+    nonnegative starting value in every row."""
+    rows, slacks, lo, hi, _, _, ncol = _to_equality_form(problem)
+    tab = _Tableau(rows, slacks, lo, hi, ncol)
+    for i, j in enumerate(tab.basis):
+        assert tab.N[i][ncol] >= 0
+        if j < ncol:
+            assert tab.N[i][j] == tab.D[i]
+    return ["artificial" if j >= ncol else "slack" for j in tab.basis]
+
+
+class TestSlackStart:
+    """An inequality row starts with its slack basic when the slack is
+    nonnegative with every column at its lower bound, that is when
+    r = rhs - a.lo is >= 0 on a <= row or <= 0 on a >= row."""
+
+    def test_le_row_with_negative_r_gets_an_artificial(self):
+        # -x0 <= -1 at x0 = 0: the slack would be -1
+        p = prob(2, [({0: -1}, "<=", -1), ({0: 1, 1: 1}, "<=", 3)], objective=[1, 1])
+        assert start_basis(p) == ["artificial", "slack"]
+        status, x, obj, _, _ = solve_rational(p)
+        assert (status, x, obj) == ("optimal", [1, 0], 1)
+
+    def test_ge_rows_with_r_negative_or_zero_start_at_the_slack(self):
+        p = prob(2, [({0: 1, 1: 1}, ">=", -1), ({0: 1, 1: -1}, ">=", 0)],
+                 upper=[2, 2], objective=[-1, 1])
+        assert start_basis(p) == ["slack", "slack"]
+        status, x, obj, _, duals = solve_rational(p)
+        assert (status, x, obj) == ("optimal", [2, 0], -2)
+        assert duals == [0, 0]
+
+    def test_equality_row_always_gets_an_artificial(self):
+        p = prob(2, [({0: 1, 1: 1}, "==", 0), ({0: 1}, "<=", 1)], upper=[1, 1])
+        assert start_basis(p) == ["artificial", "slack"]
+        assert solve_rational(p)[:3] == ("optimal", [0, 0], 0)
+
+    def test_no_artificial_means_no_phase_one_pivot(self, monkeypatch):
+        pivots = []
+        real = _Tableau._pivot
+
+        def counting(self, *args):
+            pivots.append(args[:2])
+            return real(self, *args)
+
+        monkeypatch.setattr(simplex._Tableau, "_pivot", counting)
+        p = prob(2, [({0: 1, 1: 2}, "<=", 4), ({0: 3, 1: 1}, "<=", 6)],
+                 objective=[1, 1], maximize=True)
+        assert start_basis(p) == ["slack", "slack"]
+        status, x, obj, basis, duals = solve_rational(p)
+        assert (status, x, obj) == ("optimal", [Fraction(8, 5), Fraction(6, 5)],
+                                    Fraction(14, 5))
+        assert basis == [0, 1]
+        assert duals == [Fraction(2, 5), Fraction(1, 5)]
+        assert len(pivots) == 2  # phase 2 only: x0 enters, then x1
+
+    def test_infeasible_with_one_violated_row(self):
+        # every row starts at its slack except x0 + x1 <= -1, which no
+        # point of the box satisfies
+        p = prob(2, [({0: 1, 1: -1}, ">=", 0), ({0: 1, 1: 1}, "<=", -1),
+                     ({1: 1}, "<=", 1)], upper=[1, 1], objective=[1, 1])
+        assert start_basis(p) == ["slack", "artificial", "slack"]
+        assert solve_rational(p)[0] == "infeasible"
+
+    def test_negative_lower_bounds_flip_r(self):
+        rows = [({0: 1, 1: 1}, ">=", -1), ({0: 1, 1: 1}, "<=", -1)]
+        # at the origin r = -1 on both rows: the >= row takes its slack,
+        # the <= row an artificial
+        at_zero = prob(2, rows, upper=[1, 1], objective=[1, 0])
+        assert start_basis(at_zero) == ["slack", "artificial"]
+        assert solve_rational(at_zero)[0] == "infeasible"
+        # at lower bounds (-1, -1), r = 1 on both rows: the other way round
+        shifted = prob(2, rows, lower=[-1, -1], upper=[1, 1], objective=[1, 0])
+        assert start_basis(shifted) == ["artificial", "slack"]
+        status, x, obj, _, _ = solve_rational(shifted)
+        assert (status, x, obj) == ("optimal", [-1, 0], -1)
 
 
 class TestDuals:
