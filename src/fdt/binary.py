@@ -16,9 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-
-import numpy as np
+from itertools import accumulate, chain, compress, repeat
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip
@@ -72,7 +70,9 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     lambda_j; the copies sum to at most x, and sum lambda_j <= 1 is
     maximised.  Columns are the copies' blocks, then the multipliers; rows
     are each copy's block (covering, cap, pinned, then fixed rows), then the
-    x^j_ell rows, the sum rows and the multiplier row.
+    x^j_ell rows, the sum rows and the multiplier row.  The rows are CSR
+    lists of the mode's numbers, exact or float, built the same way in
+    both modes.
     """
     exact = mode == "rational"
     tol = 0 if exact else ZERO_TOL
@@ -82,84 +82,66 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     a = len(active)
     arity = cap + 1
     lam = arity * a  # column of lambda_0
-    dtype = object if exact else float
-    col = np.full(len(x), -1)
-    col[active] = np.arange(a)
+    col = [-1] * len(x)
+    for k, i in enumerate(active):
+        col[i] = k
     fixed = {i: v for i, v in fixed.items() if col[i] >= 0}
 
     # one copy's rows, over local columns 0..a-1 and a for its lambda: the
     # covering rows cut down to the active columns, each ending in lambda,
     # then one two-entry row per active, pinned and fixed coordinate
     start, index, values, rhs = rows.arrays(exact)
+    local = [col[i] for i in index]
+    if -1 in local:
+        keep = [k >= 0 for k in local]
+        local = list(compress(local, keep))
+        values = list(compress(values, keep))
+        kept = [0, *accumulate(keep)]
+        start = [kept[s] for s in start]
+    t_index, t_value, t_start = [], [], [0]
+    for lo, hi, r in zip(start, start[1:], rhs):
+        t_index += local[lo:hi]
+        t_index.append(a)
+        t_value += values[lo:hi]
+        t_value.append(-r)
+        t_start.append(len(t_index))
+    pair_col = [*range(a), *(col[i] for i in pinned), *(col[i] for i in fixed)]
+    pair_coef = [-cap] * a + [-1] * len(pinned) + [-v for v in fixed.values()]
+    t_index += chain.from_iterable(zip(pair_col, repeat(a)))
+    t_value += chain.from_iterable(zip(repeat(1), pair_coef))
+    nz = len(t_index)
+    t_start += range(t_start[-1] + 2, nz + 1, 2)
     m = len(rhs)
-    local = col[index]
-    keep = local >= 0
-    kept = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    kept = kept[start]
-    pairs = len(pinned) + len(fixed)
-    nt = m + a + pairs
-    t_start = np.empty(nt + 1, dtype=np.int64)
-    t_start[:m + 1] = kept + np.arange(m + 1)
-    t_start[m + 1:] = t_start[m] + 2 * np.arange(1, a + pairs + 1)
-    nz = t_start[-1]
-    t_index = np.empty(nz, dtype=np.int64)
-    t_value = np.empty(nz, dtype=dtype)
-    ends = t_start[1:m + 1] - 1
-    covering = np.ones(t_start[m], dtype=bool)
-    covering[ends] = False
-    t_index[:t_start[m]][covering] = local[keep]
-    t_value[:t_start[m]][covering] = values[keep]
-    t_index[ends] = a
-    t_value[ends] = -rhs
-    t_index[t_start[m]::2] = col[active + list(pinned) + list(fixed)]
-    t_index[t_start[m] + 1::2] = a
-    t_value[t_start[m]::2] = 1
-    t_value[t_start[m] + 1::2] = ([-cap] * a + [-1] * len(pinned)
-                                  + [-v for v in fixed.values()])
-    t_sense = np.full(nt, lp.GE, dtype=np.int8)
-    t_sense[m:m + a] = lp.LE
-    t_sense[nt - len(fixed):] = lp.EQ
+    t_sense = [lp.GE] * m + [lp.LE] * a + [lp.GE] * len(pinned) + [lp.EQ] * len(fixed)
 
     # the copies, then x^j_ell = j lambda_j for j >= 1 (two entries each),
     # the sums over the copies of each active coordinate and the sum of the
     # multipliers (arity entries each); copy j shifts local column k to
     # j * a + k and its lambda to lam + j
-    nrows = arity * nt + cap + a + 1
-    row_start = np.empty(nrows + 1, dtype=np.int64)
-    row_start[:arity * nt].reshape(arity, nt)[:] = np.add.outer(nz * np.arange(arity),
-                                                                t_start[:-1])
-    row_start[arity * nt:arity * nt + cap] = arity * nz + 2 * np.arange(cap)
-    row_start[arity * nt + cap:] = arity * nz + 2 * cap + arity * np.arange(a + 2)
-    copy_index = np.add.outer(a * np.arange(arity), t_index)
-    copy_index[:, t_index == a] = lam + np.arange(arity)[:, None]
-    j = np.arange(1, arity)
-    tail = arity * nz
-    row_index = np.empty(row_start[-1], dtype=np.int64)
-    row_index[:tail] = copy_index.ravel()
-    row_index[tail:tail + 2 * cap:2] = j * a + col[ell]
-    row_index[tail + 1:tail + 2 * cap:2] = lam + j
-    row_index[tail + 2 * cap:-arity].reshape(a, arity)[:] = np.add.outer(
-        np.arange(a), a * np.arange(arity))
-    row_index[-arity:] = lam + np.arange(arity)
-    row_value = np.ones(row_start[-1], dtype=dtype)
-    row_value[:tail].reshape(arity, nz)[:] = t_value
-    row_value[tail + 1:tail + 2 * cap:2] = -j
-    row_sense = np.full(nrows, lp.LE, dtype=np.int8)
-    row_sense[:arity * nt].reshape(arity, nt)[:] = t_sense
-    row_sense[arity * nt:arity * nt + cap] = lp.EQ
-    row_rhs = np.zeros(nrows, dtype=dtype)
-    row_rhs[nrows - a - 1:-1] = [x[i] for i in active]
-    row_rhs[-1] = 1
+    row_start = [0]
+    row_index = []
+    for j in range(arity):
+        row_start += [s + j * nz for s in t_start[1:]]
+        row_index += map([*range(j * a, j * a + a), lam + j].__getitem__, t_index)
+    row_value = t_value * arity
+    row_sense = t_sense * arity
+    for j in range(1, arity):
+        row_index += (j * a + col[ell], lam + j)
+        row_value += (1, -j)
+    row_sense += [lp.EQ] * cap
+    for k in range(a):
+        row_index += range(k, lam, a)
+    row_index += range(lam, lam + arity)
+    row_value += [1] * (arity * (a + 1))
+    row_sense += [lp.LE] * (a + 1)
+    row_start += range(row_start[-1] + 2, row_start[-1] + 2 * cap + 1, 2)
+    row_start += range(row_start[-1] + arity, len(row_index) + 1, arity)
+    row_rhs = [0] * (arity * len(t_sense) + cap) + [x[i] for i in active] + [1]
 
-    num_cols = lam + arity
-    upper = np.full(num_cols, None if exact else np.inf, dtype=dtype)
-    upper[lam:] = 1
+    upper = [None if exact else math.inf] * lam + [1] * arity
     upper[col[ell]] = 0  # x^0_ell = 0
-    objective = np.zeros(num_cols, dtype=dtype)
-    objective[lam:] = 1
-    prob = lp.LpProblem(num_cols=num_cols, lower=np.zeros(num_cols, dtype=dtype),
-                        upper=upper, objective=objective, maximize=True)
+    prob = lp.LpProblem(num_cols=lam + arity, upper=upper,
+                        objective=[0] * lam + [1] * arity, maximize=True)
     prob.add_rows(row_start, row_index, row_value, row_sense, row_rhs)
     out = lp.solve(prob, mode=mode)
     if out.status != lp.OPTIMAL:
@@ -205,21 +187,20 @@ def prune(nodes, x_star, supp=None, mode="float"):
     """
     if supp is None:
         supp = support(x_star)
-    exact = mode == "rational"
-    dtype = object if exact else float
     # row i of the LP: sum_j theta_j x^j_i <= x*_i over the nodes with
     # x^j_i > ZERO_TOL (compared as a Fraction in exact mode: the same test,
     # made faster)
-    points = np.fromiter(chain.from_iterable(x for x, _ in nodes), dtype=dtype,
-                         count=len(nodes) * len(x_star)).reshape(len(nodes), len(x_star))
-    coef = points[:, supp].T
-    positive = coef > (_EXACT_ZERO_TOL if exact else ZERO_TOL)
-    start = np.zeros(len(supp) + 1, dtype=np.int64)
-    np.cumsum(positive.sum(axis=1), out=start[1:])
-    prob = lp.LpProblem(num_cols=len(nodes), maximize=True,
-                        objective=np.ones(len(nodes), dtype=dtype))
-    prob.add_rows(start, np.nonzero(positive)[1], coef[positive], lp.LE,
-                  np.asarray(x_star, dtype=dtype)[supp])
+    tol = _EXACT_ZERO_TOL if mode == "rational" else ZERO_TOL
+    points = [x for x, _ in nodes]
+    start, index, value = [0], [], []
+    for i in supp:
+        for j, x in enumerate(points):
+            if x[i] > tol:
+                index.append(j)
+                value.append(x[i])
+        start.append(len(index))
+    prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
+    prob.add_rows(start, index, value, lp.LE, [x_star[i] for i in supp])
     out = lp.solve(prob, mode=mode)
     if out.status == lp.UNBOUNDED:
         raise lp.LpError(

@@ -118,6 +118,7 @@ def cmd_gen(args):
             graph = read_pace_graph(args.pace)
         else:
             import networkx as nx  # slow to import, and only this draw needs it
+            _check_gnp(args)
             n, p = args.n, args.p
             g = nx.gnp_random_graph(n, p, seed=args.seed)
             graph = make_graph(n, list(g.edges()), require_connected=False)
@@ -192,8 +193,18 @@ def cmd_bench_cv(args):
     return _emit_report(report, args)
 
 
+def _check_gnp(args):
+    """ValueError unless the G(n, p) draw's --n is >= 0 and --p is in
+    [0, 1]."""
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
+    if not 0 <= args.p <= 1:
+        raise ValueError(f"--p must be in [0, 1], got {args.p}")
+
+
 def cmd_bench_vc(args):
     import networkx as nx  # slow to import, and only the draws need it
+    _check_gnp(args)
     graphs = []
     for path in args.pace or []:
         graphs.append((os.path.basename(path), read_pace_graph(path)))

@@ -7,12 +7,20 @@ the bindings scipy ships, with the model and options that
 basic (vertex) optimal solutions; the pruning LP depends on that, so
 interior-point methods are deliberately not offered.
 
+Problems keep their rows as CSR lists of Python numbers, so building and
+solving one exactly uses no numpy.  numpy loads with HiGHS, on the first
+float solve, and only the float backend uses it: it turns a problem into
+linprog's model (>= rows negated, equality rows last, zero entries
+dropped) and hands HiGHS the matrix row-wise, as the problem holds it;
+HiGHS makes from that the column-wise matrix linprog would have passed.
+
 The binding is one extension module, ``scipy.optimize._highspy._core``.
 It is loaded from its file, without ``scipy.optimize``'s package import
 (0.4-0.6 s and 48 MB of peak RSS on a 2-vCPU host), and with its options
 and the shared solver, on the first float solve; a run that only solves
-exactly never loads it.  The module attributes ``highs``, ``_OPTIONS`` and
-``_HIGHS`` load it when first read.
+exactly never loads it, nor numpy (0.09 s and 12 MB of peak RSS).  The
+module attributes ``highs``, ``_OPTIONS`` and ``_HIGHS`` load them when
+first read.
 """
 
 import importlib.machinery
@@ -21,9 +29,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import inf
-
-import numpy as np
+from math import inf, sqrt
 
 from . import simplex
 from .simplex import EQ, GE, LE
@@ -41,21 +47,19 @@ class LpError(RuntimeError):
 
 _SENSE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
 _SENSE_NAME = ("<=", ">=", "==")
-_NO_ROWS = (np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0),
-            np.zeros(0, np.int8), np.zeros(0))
 
 
 class LpProblem:
     """min/max objective . x  subject to sparse rows and column bounds.
 
-    The rows are kept as CSR arrays (csr()): row r has the entries
+    The rows are kept as CSR lists (csr()): row r has the entries
     start[r]:start[r+1] of (index, value), its sense (LE, GE or EQ) and its
-    right-hand side.  add_rows appends a block in that form; values and
-    right-hand sides are float64 arrays, or object arrays of exact numbers
-    (ints, Fractions) for the rational backend.  add_row appends one row
-    given as a {column: coef} dict, as a one-row block.  rows is a
-    read-only view of all rows as (coef dict, sense, rhs) triples.  An
-    upper bound of None or inf means unbounded.
+    right-hand side.  add_rows appends a block in that form, copying it;
+    values and right-hand sides are floats, or exact numbers (ints,
+    Fractions) for the rational backend.  add_row appends one row given as
+    a {column: coef} dict, as a one-row block.  rows is a read-only view of
+    all rows as (coef dict, sense, rhs) triples.  An upper bound of None or
+    inf means unbounded.
     """
 
     def __init__(self, num_cols, lower=None, upper=None, objective=None, maximize=False):
@@ -64,35 +68,30 @@ class LpProblem:
         self.upper = [None] * num_cols if upper is None else upper
         self.objective = [0] * num_cols if objective is None else objective
         self.maximize = maximize
-        self._blocks = []  # (start, index, value, sense, rhs), start from 0
+        self._start, self._index, self._value, self._sense, self._rhs = [0], [], [], [], []
 
     def add_row(self, coef, sense, rhs):
         if sense not in _SENSE:
             raise ValueError(f"unknown sense {sense!r}")
-        self.add_rows([0, len(coef)], np.fromiter(coef, np.int64, len(coef)),
-                      np.array(list(coef.values()), dtype=object), _SENSE[sense],
-                      np.array([rhs], dtype=object))
+        self.add_rows([0, len(coef)], list(coef), list(coef.values()), _SENSE[sense], [rhs])
 
     def add_rows(self, start, index, value, sense, rhs):
-        """Append rows in CSR form (start from 0); sense is one code for
-        every row or an array of codes.  An entry on a column outside
-        [0, num_cols) is a ValueError."""
-        index = np.asarray(index)
-        if len(index) and (index.min() < 0 or index.max() >= self.num_cols):
+        """Append rows in CSR form (sequences, start from 0); sense is one
+        code for every row or a sequence of codes.  An entry on a column
+        outside [0, num_cols) is a ValueError."""
+        if len(index) and (min(index) < 0 or max(index) >= self.num_cols):
             raise ValueError(f"row entry on a column outside [0, {self.num_cols})")
-        self._blocks.append((np.asarray(start), index, value,
-                             np.broadcast_to(np.asarray(sense, dtype=np.int8), len(rhs)),
-                             rhs))
+        offset = self._start[-1]
+        self._start.extend([s + offset for s in start[1:]] if offset else start[1:])
+        self._index.extend(index)
+        self._value.extend(value)
+        self._sense.extend([sense] * len(rhs) if isinstance(sense, int) else sense)
+        self._rhs.extend(rhs)
 
     def csr(self):
-        """Every row as one (start, index, value, sense, rhs) tuple of arrays."""
-        if len(self._blocks) > 1:
-            offsets = np.cumsum([0] + [b[0][-1] for b in self._blocks[:-1]])
-            start = np.concatenate([[0]] + [b[0][1:] + off
-                                            for b, off in zip(self._blocks, offsets)])
-            self._blocks = [(start,) + tuple(np.concatenate([b[k] for b in self._blocks])
-                                             for k in range(1, 5))]
-        return self._blocks[0] if self._blocks else _NO_ROWS
+        """Every row as one (start, index, value, sense, rhs) tuple of lists,
+        the problem's own: read them, do not change them."""
+        return self._start, self._index, self._value, self._sense, self._rhs
 
     @property
     def rows(self):
@@ -107,13 +106,13 @@ class _Rows(Sequence):
         self._problem = problem
 
     def __len__(self):
-        return sum(len(block[4]) for block in self._problem._blocks)
+        return len(self._problem._rhs)
 
     def __getitem__(self, r):
         return list(self)[r]
 
     def __iter__(self):
-        start, index, value, sense, rhs = (a.tolist() for a in self._problem.csr())
+        start, index, value, sense, rhs = self._problem.csr()
         for lo, hi, s, v in zip(start, start[1:], sense, rhs):
             yield dict(zip(index[lo:hi], value[lo:hi])), _SENSE_NAME[s], v
 
@@ -163,47 +162,52 @@ def _solve_rational(problem):
 
 # linprog's test of a returned optimum: bounds, slacks and equality
 # residuals within sqrt(tol) * 10 at its default tol of 1e-9
-_RESULT_TOL = np.sqrt(1e-9) * 10
+_RESULT_TOL = sqrt(1e-9) * 10
 
 
 def _solve_float(problem):
     """The HiGHS model linprog builds: <= rows, then >= rows negated, in
     their order, with row bounds [-inf, rhs]; equality rows last with
-    lhs = rhs; the matrix column-wise with row indices ascending and zero
-    entries dropped; the cost negated when maximising."""
+    lhs = rhs; zero entries dropped; the cost negated when maximising.  The
+    matrix goes to HiGHS row-wise, each row's entries in their order; HiGHS
+    transposes it into the column-wise matrix, row indices ascending, that
+    linprog passes."""
+    if "_HIGHS" not in globals():
+        _load_highs()
     n = problem.num_cols
-    objective = np.asarray(problem.objective, dtype=float)
+    objective = np.fromiter(problem.objective, float, n)
     if not np.isfinite(objective).all():
         raise ValueError("objective has a non-finite coefficient")
     c = -objective if problem.maximize else objective
     start, index, value, sense, rhs = problem.csr()
-    value = np.asarray(value, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    m, nnz = len(rhs), len(index)
+    start = np.fromiter(start, np.int64, m + 1)
+    count = np.diff(start)
+    sense = np.fromiter(sense, np.int8, m)
+    value = np.fromiter(value, float, nnz)
+    rhs = np.fromiter(rhs, float, m)
     flip = sense == GE
+    value = np.where(np.repeat(flip, count), -value, value)
     rhs = np.where(flip, -rhs, rhs)
-    # HiGHS row k is problem row order[k]: inequalities first, in order
+    # HiGHS row k is problem row order[k]: inequalities first, in order;
+    # each row's entries, zeros dropped, in their order
     eq = sense == EQ
     order = np.argsort(eq, kind="stable")
-    position = np.empty(len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
-    entry_row = np.repeat(np.arange(len(rhs)), np.diff(start))
-    value = np.where(flip[entry_row], -value, value)
+    count = count[order]
+    row_start = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(count, out=row_start[1:])
+    entry = np.repeat(start[order] - row_start[:-1], count) + np.arange(row_start[-1])
+    value = value[entry]
     kept = value != 0
-    entry_row, column, value = position[entry_row[kept]], index[kept], value[kept]
-    by_column = np.argsort(column * len(rhs) + entry_row, kind="stable")
-    a_start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(column, minlength=n), out=a_start[1:])
+    kept_before = np.zeros(len(kept) + 1, dtype=np.int32)
+    np.cumsum(kept, out=kept_before[1:])
     row_upper = rhs[order]
-    row_lower = np.where(eq[order], row_upper, -np.inf)  # HiGHS's kHighsInf is inf
-    lower = np.asarray(problem.lower, dtype=float)
-    upper = np.asarray(problem.upper)
-    if upper.dtype == object:
-        upper = np.where(upper == None, np.inf, upper)  # noqa: E711
-    upper = upper.astype(float)
-    status, x, activity = linprog(c, lower, upper, row_lower, row_upper, a_start,
-                                  entry_row[by_column].astype(np.int32),
-                                  value[by_column])
-    # linprog has loaded the binding by now
+    row_lower = np.where(eq[order], row_upper, -inf)  # HiGHS's kHighsInf is inf
+    lower = np.fromiter(problem.lower, float, n)
+    upper = np.fromiter((inf if v is None else v for v in problem.upper), float, n)
+    status, x, activity = linprog(c, lower, upper, row_lower, row_upper,
+                                  kept_before[row_start],
+                                  np.fromiter(index, np.int32, nnz)[entry[kept]], value[kept])
     if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
         # dual simplex cannot always tell infeasible from unbounded;
         # let the exact backend classify the (rare, off-hot-path) failure
@@ -211,7 +215,7 @@ def _solve_float(problem):
     if x is None:
         raise LpError(f"float solve failed: HiGHS model status {status.name}")
     slack = row_upper - activity
-    m = len(rhs) - int(eq.sum())
+    m -= int(eq.sum())
     if (np.isnan(x).any() or np.isnan(slack).any()
             or (x < lower - _RESULT_TOL).any() or (x > upper + _RESULT_TOL).any()
             or (slack[:m] < -_RESULT_TOL).any() or (np.abs(slack[m:]) > _RESULT_TOL).any()):
@@ -220,7 +224,7 @@ def _solve_float(problem):
     return LpOutcome(OPTIMAL, solution=x.tolist(), objective=obj, mode="float")
 
 
-_LAZY = frozenset({"highs", "_OPTIONS", "_HIGHS", "_COLWISE", "_MINIMIZE"})
+_LAZY = frozenset({"highs", "_OPTIONS", "_HIGHS", "_ROWWISE", "_MINIMIZE"})
 
 
 _BINDING = "scipy.optimize._highspy._core"
@@ -253,11 +257,12 @@ def _import_binding():
 
 
 def _load_highs():
-    """Load the HiGHS binding and make the process's one solver, with
-    linprog(method="highs-ds")'s options: presolve on, dual simplex, silent.
-    passModel replaces the solver's model and clears its solver state, so
-    every call starts cold, as in a fresh solver."""
-    global highs, _OPTIONS, _HIGHS, _COLWISE, _MINIMIZE
+    """Load numpy and the HiGHS binding and make the process's one solver,
+    with linprog(method="highs-ds")'s options: presolve on, dual simplex,
+    silent.  passModel replaces the solver's model and clears its solver
+    state, so every call starts cold, as in a fresh solver."""
+    global np, highs, _OPTIONS, _HIGHS, _ROWWISE, _MINIMIZE
+    import numpy as np
     highs = _import_binding()
     _OPTIONS = highs.HighsOptions()
     _OPTIONS.presolve = "on"
@@ -268,7 +273,7 @@ def _load_highs():
     _OPTIONS.output_flag = False
     _HIGHS = highs._Highs()
     _HIGHS.passOptions(_OPTIONS)
-    _COLWISE = int(highs.MatrixFormat.kColwise)
+    _ROWWISE = int(highs.MatrixFormat.kRowwise)
     _MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
@@ -281,7 +286,7 @@ def __getattr__(name):
 
 def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
     """min cost.x  s.t.  row_lower <= A x <= row_upper, lower <= x <= upper,
-    with A column-wise as (start, index, value), by HiGHS dual simplex.
+    with A row-wise as (start, index, value), by HiGHS dual simplex.
     Returns (model status, x, A x); x and A x are None unless the status is
     optimal.  The solver is shared, so this is not thread-safe."""
     if "_HIGHS" not in globals():
@@ -289,7 +294,7 @@ def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
     num_col, num_row = len(cost), len(row_upper)
     # all columns continuous; the array overload refuses an empty array
     integrality = np.zeros(num_col, dtype=np.int32)
-    if _HIGHS.passModel(num_col, num_row, len(value), _COLWISE, _MINIMIZE, 0.0,
+    if _HIGHS.passModel(num_col, num_row, len(value), _ROWWISE, _MINIMIZE, 0.0,
                         cost, lower, upper, row_lower, row_upper,
                         start, index, value, integrality) == highs.HighsStatus.kError:
         return highs.HighsModelStatus.kModelError, None, None

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 ZERO_TOL = 1e-9
 
 BINARY = "binary"
@@ -80,42 +78,39 @@ class Row:
 
 class RowMatrix:
     """Rows  sum_k values[k] * x[index[k]] >= rhs[r]  over k in
-    start[r]:start[r+1], as CSR arrays of exact numbers (object arrays,
-    with integral Fractions stored as ints, which the exact simplex reads
-    faster); their float copies are made once, when first asked for."""
+    start[r]:start[r+1], as CSR lists of exact numbers (integral Fractions
+    stored as ints, which the exact simplex reads faster), plus a float
+    view of values and rhs, made when first asked for and extended by every
+    later append.  The lists are the matrix's own: callers read them and
+    copy what they keep."""
 
     def __init__(self, rows=()):
-        counts, index, values, rhs = [], [], [], []
-        for row in rows:
-            counts.append(len(row.coef))
-            index.extend(row.coef)
-            values.extend(map(_int_if_integral, row.coef.values()))
-            rhs.append(_int_if_integral(row.rhs))
-        self.start = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.start[1:])
-        self.index = np.array(index, dtype=np.int64)
-        self.values = np.array(values, dtype=object)
-        self.rhs = np.array(rhs, dtype=object)
+        self.start, self.index, self.values, self.rhs = [0], [], [], []
         self._floats = None
+        for row in rows:
+            self.append(row)
 
     def __len__(self):
         return len(self.rhs)
 
     def append(self, row):
         """Add one Row at the end."""
-        grown = RowMatrix([row])
-        self.start = np.concatenate([self.start, grown.start[1:] + self.start[-1]])
-        self.index = np.concatenate([self.index, grown.index])
-        self.values = np.concatenate([self.values, grown.values])
-        self.rhs = np.concatenate([self.rhs, grown.rhs])
-        self._floats = None
+        values = list(map(_int_if_integral, row.coef.values()))
+        rhs = _int_if_integral(row.rhs)
+        self.index.extend(row.coef)
+        self.values.extend(values)
+        self.rhs.append(rhs)
+        self.start.append(len(self.index))
+        if self._floats is not None:
+            self._floats[0].extend(map(float, values))
+            self._floats[1].append(float(rhs))
 
     def arrays(self, exact):
-        """(start, index, values, rhs), values and rhs exact or float64."""
+        """(start, index, values, rhs), values and rhs exact or floats."""
         if exact:
             return self.start, self.index, self.values, self.rhs
         if self._floats is None:
-            self._floats = (self.values.astype(float), self.rhs.astype(float))
+            self._floats = (list(map(float, self.values)), list(map(float, self.rhs)))
         return (self.start, self.index) + self._floats
 
 
@@ -165,9 +160,8 @@ class IpInstance:
         row_matrix's exact values: integral numbers are ints, so sums over
         integer points stay in int arithmetic."""
         m = self.row_matrix
-        start, index, values = m.start.tolist(), m.index.tolist(), m.values.tolist()
-        return tuple((index[a:b], values[a:b], rhs)
-                     for a, b, rhs in zip(start, start[1:], m.rhs.tolist()))
+        return tuple((m.index[a:b], m.values[a:b], rhs)
+                     for a, b, rhs in zip(m.start, m.start[1:], m.rhs))
 
     @cached_property
     def covering(self):

@@ -83,7 +83,7 @@ def _to_equality_form(problem):
     sign = -1 if problem.maximize else 1
     cost = [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)]
 
-    start, index, value, senses, rhs = (a.tolist() for a in problem.csr())
+    start, index, value, senses, rhs = problem.csr()
     rows, slacks = [], []
     ncol = n
     for k, (a, b, sense, r) in enumerate(zip(start, start[1:], senses, rhs)):

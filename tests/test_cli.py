@@ -51,6 +51,22 @@ class TestGen:
         assert d["vertices"] == 8 and len(d["edges"]) == 12
 
 
+    @pytest.mark.parametrize("command", [["gen", "vc"], ["bench-vc", "--count", "1"]])
+    @pytest.mark.parametrize("option, message", [
+        (["--n", "-3"], "--n must be >= 0, got -3"),
+        (["--p", "1.5"], "--p must be in [0, 1], got 1.5"),
+        (["--p", "-1"], "--p must be in [0, 1], got -1.0"),
+        (["--p", "nan"], "--p must be in [0, 1], got nan"),
+    ])
+    def test_bad_gnp_parameters_are_data_errors(self, tmp_path, capsys, command, option,
+                                                message):
+        # --n -3 used to end in a NetworkXError traceback, and --p 1.5 or
+        # -1 gave a complete or an empty graph
+        assert main(command + option + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestSolveAndVerify:
     def test_tree_solve_round_trip(self, tap_setup, tmp_path):
         inst_path, point_path = tap_setup

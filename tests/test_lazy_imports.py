@@ -1,6 +1,6 @@
-"""HiGHS and networkx load only when a run uses them, and HiGHS loads
-without scipy.optimize.  Each check runs in a fresh interpreter, since
-this one has long loaded both."""
+"""HiGHS, numpy and networkx load only when a run uses them, and HiGHS
+loads without scipy.optimize.  Each check runs in a fresh interpreter,
+since this one has long loaded them all."""
 
 import json
 import os
@@ -34,7 +34,8 @@ def test_import_loads_neither_scipy_optimize_nor_networkx():
     assert loaded(run_fresh("""
         import json, sys
         import fdt, fdt.cli
-        print(json.dumps([m for m in ("scipy.optimize", "networkx") if m in sys.modules]))
+        print(json.dumps([m for m in ("scipy.optimize", "networkx", "numpy")
+                          if m in sys.modules]))
     """)) == []
 
 
@@ -54,7 +55,8 @@ def test_exact_runs_leave_scipy_optimize_unloaded(tmp_path):
         save_certificate(cert, {str(tmp_path / "cert.json")!r})
         assert main(["verify", "--certificate", {str(tmp_path / "cert.json")!r},
                      "--instance", {str(tmp_path / "inst.json")!r}]) == 0
-        print(json.dumps([m for m in ("scipy.optimize", "networkx") if m in sys.modules]))
+        print(json.dumps([m for m in ("scipy.optimize", "networkx", "numpy")
+                          if m in sys.modules]))
     """)) == []
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdt import domtoip, generators, lp, simplex
 from fdt.binary import ZERO_TOL, branch_lpc, prune
@@ -63,8 +65,7 @@ class TestInputChecks:
         # used to come back infeasible
         p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 1])
         with pytest.raises(ValueError, match="outside"):
-            p.add_rows(np.array([0, 2]), np.array([0, -1]), np.array([1.0, 1.0]), lp.GE,
-                       np.array([1.0]))
+            p.add_rows([0, 2], [0, -1], [1.0, 1.0], lp.GE, [1.0])
         out = lp.solve(p, mode)
         assert (out.status, out.solution) == (lp.OPTIMAL, [0, 0])
 
@@ -118,16 +119,14 @@ class TestInputChecks:
         # x0 + x0 >= 2 on x0 in [0, 1] used to come back infeasible: both
         # backends kept only the last entry
         p = lp.LpProblem(num_cols=1, upper=[1], objective=[1])
-        p.add_rows(np.array([0, 2]), np.array([0, 0]), np.array([1.0, 1.0]), lp.GE,
-                   np.array([2.0]))
+        p.add_rows([0, 2], [0, 0], [1.0, 1.0], lp.GE, [2.0])
         with pytest.raises(ValueError, match="row 0 has a repeated column"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_one_column_in_several_rows(self, mode):
         p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 2])
-        p.add_rows(np.array([0, 1, 3]), np.array([0, 0, 1]), np.array([1.0, 1.0, 1.0]),
-                   lp.GE, np.array([0.5, 1.0]))
+        p.add_rows([0, 1, 3], [0, 0, 1], [1.0, 1.0, 1.0], lp.GE, [0.5, 1.0])
         out = lp.solve(p, mode)
         assert (out.status, out.solution) == (lp.OPTIMAL, [1, 0])
 
@@ -231,11 +230,12 @@ def random_lp(rng, block=False):
         rows.append((coef, sense, lhs - shift if sense == ">=" else lhs + shift))
     if block:
         code = {"<=": lp.LE, ">=": lp.GE, "==": lp.EQ}
-        p.add_rows(np.cumsum([0] + [len(coef) for coef, _, _ in rows]),
-                   [i for coef, _, _ in rows for i in coef],
-                   np.array([v for coef, _, _ in rows for v in coef.values()], dtype=object),
-                   [code[sense] for _, sense, _ in rows],
-                   np.array([rhs for _, _, rhs in rows], dtype=object))
+        start = [0]
+        for coef, _, _ in rows:
+            start.append(start[-1] + len(coef))
+        p.add_rows(start, [i for coef, _, _ in rows for i in coef],
+                   [v for coef, _, _ in rows for v in coef.values()],
+                   [code[sense] for _, sense, _ in rows], [rhs for _, _, rhs in rows])
     else:
         for row in rows:
             p.add_row(*row)
@@ -375,8 +375,8 @@ def node_lps(monkeypatch, mode):
         branch_lpc_2ec(pt.graph, x, e, cut_pool=pool, mode=mode)
     assert len(pool) > 0
     start, index, values, rhs = pool.rows.arrays(True)
-    rows = [Row(dict(zip(index[lo:hi].tolist(), values[lo:hi].tolist())), r)
-            for lo, hi, r in zip(start[:-1], start[1:], rhs)]
+    rows = [Row(dict(zip(index[lo:hi], values[lo:hi])), r)
+            for lo, hi, r in zip(start, start[1:], rhs)]
     pinned = [e for e, v in enumerate(x) if v >= 1]
     assert pinned
     built = built_lps(monkeypatch, lambda: branch_lpc_2ec(pt.graph, x, 2, cut_pool=pool,
@@ -442,8 +442,7 @@ class TestOneRowStore:
     def test_add_row_equals_one_block(self, seed):
         one_by_one = random_lp(random.Random(seed))
         block = random_lp(random.Random(seed), block=True)
-        for a, b in zip(one_by_one.csr(), block.csr()):
-            assert a.tolist() == b.tolist()
+        assert one_by_one.csr() == block.csr()
         assert list(one_by_one.rows) == list(block.rows)
         assert simplex.solve_rational(one_by_one) == simplex.solve_rational(block)
 
@@ -583,6 +582,100 @@ class TestHighsMatchesLinprog:
             lp.highs.HighsModelStatus.kIterationLimit, None, None))
         out = lp.solve(triangle_problem(), mode="float")
         assert (out.mode, out.objective) == ("rational", Fraction(3, 2))
+
+
+def colwise_highs(problem):
+    """HiGHS's answer to linprog's model of the problem, with the matrix
+    passed column-wise, row indices ascending in each column: (model
+    status, x, A x), x and A x None unless optimal."""
+    rows = list(problem.rows)
+    rows = [r for r in rows if r[1] != "=="] + [r for r in rows if r[1] == "=="]
+    columns = [[] for _ in range(problem.num_cols)]
+    row_lower, row_upper = [], []
+    for k, (coef, sense, rhs) in enumerate(rows):
+        sign = -1.0 if sense == ">=" else 1.0
+        for j, v in coef.items():
+            if v != 0:
+                columns[j].append((k, sign * float(v)))
+        row_upper.append(sign * float(rhs))
+        row_lower.append(row_upper[-1] if sense == "==" else -math.inf)
+    start, index, value = [0], [], []
+    for entries in columns:
+        index += [k for k, _ in entries]
+        value += [v for _, v in entries]
+        start.append(len(index))
+    sign = -1.0 if problem.maximize else 1.0
+    highs, solver = lp.highs, lp._HIGHS
+    n = problem.num_cols
+    if solver.passModel(
+            n, len(rows), len(value), int(highs.MatrixFormat.kColwise),
+            int(highs.ObjSense.kMinimize), 0.0,
+            np.array([sign * float(v) for v in problem.objective]),
+            np.array(problem.lower, dtype=float),
+            np.array([math.inf if v is None else float(v) for v in problem.upper]),
+            np.array(row_lower), np.array(row_upper), np.array(start, dtype=np.int32),
+            np.array(index, dtype=np.int32), np.array(value),
+            np.zeros(n, dtype=np.int32)) == highs.HighsStatus.kError:
+        return highs.HighsModelStatus.kModelError, None, None
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        return status, None, None
+    solution = solver.getSolution()
+    return status, np.array(solution.col_value), np.array(solution.row_value)
+
+
+@st.composite
+def small_lps(draw):
+    """LPs of 1-5 columns and 0-6 rows: <=, >= and == rows in any order,
+    each row's columns in any order with zero coefficients among them;
+    either direction; finite, None and inf upper bounds.  Each row is
+    tight at a point in the bounds, or off it by a small shift either way,
+    so most LPs are feasible and some are not."""
+    n = draw(st.integers(1, 5))
+    num = st.integers(-3, 3)
+    p = lp.LpProblem(num_cols=n, maximize=draw(st.booleans()),
+                     objective=draw(st.lists(num, min_size=n, max_size=n)),
+                     lower=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    p.upper = [draw(st.sampled_from([None, math.inf, lo, lo + 1, lo + 2]))
+               for lo in p.lower]
+    point = [lo + draw(st.integers(0, 2 if hi in (None, math.inf) else hi - lo))
+             for lo, hi in zip(p.lower, p.upper)]
+    for _ in range(draw(st.integers(0, 6))):
+        columns = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        coef = {j: draw(num) for j in columns}
+        sense = draw(st.sampled_from(["<=", ">=", "=="]))
+        shift = draw(st.integers(-1, 2)) * (-1 if sense == ">=" else 1)
+        p.add_row(coef, sense, sum(c * point[j] for j, c in coef.items()) + shift)
+    return p
+
+
+class TestRowwiseHandOff:
+    """The float backend hands HiGHS its rows row-wise; HiGHS must answer as
+    it does to the column-wise matrix linprog builds, bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(small_lps())
+    def test_same_answer_as_colwise(self, p):
+        answers = []
+
+        def recorded(*args):
+            answers.append(lp_linprog(*args))
+            return answers[-1]
+        lp_linprog = lp.linprog
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "linprog", recorded)
+            out = lp.solve(p, "float")
+        [(status, x, activity)] = answers
+        ref_status, ref_x, ref_activity = colwise_highs(p)
+        assert status == ref_status
+        if ref_x is None:
+            assert x is None
+        else:
+            assert (x.tobytes(), activity.tobytes()) == (ref_x.tobytes(),
+                                                        ref_activity.tobytes())
+            assert out.mode == "float"
+            assert out.solution == ref_x.tolist()
 
 
 class TestReusedSolver:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdt.model import (BINARY, ZEROONETWO, Certificate, ValidationError,
+from fdt.model import (BINARY, ZEROONETWO, Certificate, Row, RowMatrix, ValidationError,
                        as_fraction, certificate_from_dict, certificate_to_dict,
                        check_integer_feasible, instance_from_dict,
                        instance_to_dict, is_integral, is_zero, load_instance,
@@ -14,6 +14,44 @@ from fdt.model import (BINARY, ZEROONETWO, Certificate, ValidationError,
 def triangle_vc():
     return make_instance(3, [({0: 1, 1: 1}, 1), ({1: 1, 2: 1}, 1),
                              ({0: 1, 2: 1}, 1)], objective=[1, 1, 1])
+
+
+class TestRowMatrix:
+    ROWS = [Row({0: Fraction(1), 2: Fraction(1, 3)}, Fraction(2)),
+            Row({1: Fraction(-2)}, Fraction(-1, 3)),
+            Row({}, Fraction(0)),
+            Row({2: Fraction(5, 1)}, Fraction(7, 2))]
+
+    def test_integral_fractions_stored_as_ints(self):
+        start, index, values, rhs = RowMatrix(self.ROWS).arrays(True)
+        assert (start, index) == ([0, 2, 3, 3, 4], [0, 2, 1, 2])
+        assert values == [1, Fraction(1, 3), -2, 5] and rhs == [2, Fraction(-1, 3), 0,
+                                                                  Fraction(7, 2)]
+        assert [type(v) for v in values + rhs] == [int, Fraction, int, int, int, Fraction,
+                                                  int, Fraction]
+
+    @pytest.mark.parametrize("split", range(5))
+    def test_append_equals_one_matrix(self, split):
+        grown = RowMatrix(self.ROWS[:split])
+        for row in self.ROWS[split:]:
+            grown.append(row)
+        whole = RowMatrix(self.ROWS)
+        assert len(grown) == len(whole) == len(self.ROWS)
+        assert grown.arrays(True) == whole.arrays(True)
+        assert grown.arrays(False) == whole.arrays(False)
+
+    def test_float_view_follows_appends(self):
+        # the float view is made once; an append after that must reach it,
+        # or HiGHS would be fed the old rows
+        m = RowMatrix(self.ROWS[:2])
+        assert m.arrays(False)[2:] == ([1.0, 1 / 3, -2.0], [2.0, -1 / 3])
+        for row in self.ROWS[2:]:
+            m.append(row)
+            start, index, values, rhs = m.arrays(False)
+            assert (start, index) == tuple(m.arrays(True)[:2])
+            assert values == [float(v) for v in m.values]
+            assert rhs == [float(v) for v in m.rhs]
+        assert m.arrays(False)[2:] == ([1.0, 1 / 3, -2.0, 5.0], [2.0, -1 / 3, 0.0, 3.5])
 
 
 class TestNumbers:

@@ -6,7 +6,7 @@ import pytest
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
-from fdt.model import Certificate, ValidationError
+from fdt.model import Certificate, Row, RowMatrix, ValidationError
 from fdt.twoec import (CutPool, SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
                        floor_round, is_subtour_feasible, point_from_dict,
                        point_to_dict, separate_subtour, verify_certificate_2ec)
@@ -145,6 +145,23 @@ class TestBranching:
         for e in range(3):
             branch_lpc_2ec(pt.graph, list(pt.x), e, cut_pool=pool, mode="float")
         assert len(scans) == len(pool.rows) == pt.graph.num_vertices + len(pool)
+
+    def test_pool_rows_equal_one_row_matrix(self):
+        # the pool appends each cut's row in place; after every append its
+        # rows, exact and float, are those of one RowMatrix of the same rows
+        pt = cv8()
+        pool = CutPool(pt.graph)
+        sides = [frozenset(range(v)) for v in range(2, pt.graph.num_vertices - 1)]
+        pool.rows.arrays(False)  # the float view exists before the appends
+        rows = [Row({e: 1 for e in pt.graph.cut_edges(frozenset([v]))}, 2)
+                for v in range(pt.graph.num_vertices)]
+        for k, side in enumerate(sides, 1):
+            assert pool.add(side)
+            rows.append(Row({e: 1 for e in pt.graph.cut_edges(side)}, 2))
+            assert len(pool) == k
+            one = RowMatrix(rows)
+            assert pool.rows.arrays(True) == one.arrays(True)
+            assert pool.rows.arrays(False) == one.arrays(False)
 
     def test_zero_edge_rejected(self):
         pt = square()
