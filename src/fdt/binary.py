@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 
 from . import lp
-from .domtoip import UnboundedGapOrInfeasible, dom_to_ip
-from .model import (ZERO_TOL, Certificate, check_base_point, check_integer_feasible,
-                    is_integral, support)
+from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, relaxation_lp
+from .model import (ZERO_TOL, Certificate, ValidationError, check_base_point,
+                    check_integer_feasible, is_integral, row_violations, support)
 
 CHECK_TOL = 1e-6
 GAMMA_TOL = 1e-9
@@ -71,8 +71,8 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     maximised.  Columns are the copies' blocks, then the multipliers; rows
     are each copy's block (covering, cap, pinned, then fixed rows), then the
     x^j_ell rows, the sum rows and the multiplier row.  The rows are CSR
-    lists of the mode's numbers, exact or float, built the same way in
-    both modes.
+    lists, built the same way in both modes: the matrix's exact numbers
+    and x's, which the float backend converts to floats for HiGHS.
     """
     exact = mode == "rational"
     tol = 0 if exact else ZERO_TOL
@@ -90,7 +90,7 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     # one copy's rows, over local columns 0..a-1 and a for its lambda: the
     # covering rows cut down to the active columns, each ending in lambda,
     # then one two-entry row per active, pinned and fixed coordinate
-    start, index, values, rhs = rows.arrays(exact)
+    start, index, values, rhs = rows.start, rows.index, rows.values, rows.rhs
     local = [col[i] for i in index]
     if -1 in local:
         keep = [k >= 0 for k in local]
@@ -216,10 +216,10 @@ def prune(nodes, x_star, supp=None, mode="float"):
 
 def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=None):
     """Full decomposition: returns a certificate of feasible solutions whose
-    convex combination is dominated by factor * x_star componentwise."""
+    convex combination is dominated by factor * x_star componentwise.
+    x_star must lie in the relaxation P (see _base_point)."""
     exact = mode == "rational"
-    check_base_point(x_star, inst.num_vars, inst.var_upper, 0 if exact else CHECK_TOL)
-    x0 = tuple(Fraction(v) if exact else float(v) for v in x_star)
+    x0 = _base_point(inst, x_star, exact)
     supp = support(x0)
     order = list(supp)
     if branch_order == "random":
@@ -236,6 +236,23 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
         finish=lambda x: _leaf_solution(inst, x, mode),
         name=inst.name,
     )
+
+
+def _base_point(inst, x_star, exact):
+    """x* in the mode's numbers, once it is known to lie in P to within the
+    tree's tolerance.  A ValidationError names the first bound or row it
+    misses; an empty P, decided by one exact LP only when x* misses a row,
+    raises UnboundedGapOrInfeasible instead."""
+    tol = 0 if exact else CHECK_TOL
+    check_base_point(x_star, inst.num_vars, inst.var_upper, tol)
+    x = tuple(Fraction(v) if exact else float(v) for v in x_star)
+    missed = row_violations(x, inst.row_matrix, tol)
+    if missed:
+        if lp.solve(relaxation_lp(inst), mode="rational").status == lp.INFEASIBLE:
+            raise UnboundedGapOrInfeasible("the relaxation has no point")
+        k, value, rhs = missed[0]
+        raise ValidationError(f"x*: violates row {k}: {float(value):.9g} < {float(rhs):.9g}")
+    return x
 
 
 def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finish,
@@ -298,9 +315,8 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
     """One random root-to-leaf walk of the tree; deterministic given seed."""
     exact = mode == "rational"
-    check_base_point(x_star, inst.num_vars, inst.var_upper, 0 if exact else CHECK_TOL)
+    y = _base_point(inst, x_star, exact)
     rng = random.Random(seed)
-    y = tuple(Fraction(v) if exact else float(v) for v in x_star)
     order = support(y)
     for depth, coord in enumerate(order):
         settled = _settle(y, coord, exact)

@@ -63,7 +63,7 @@ def _covering_optimum(inst, u, pinned, target):
     (b_r - sum_{i != t} c_ri u_i) / c_rt, and at least x_t's lower bound.
     A row without t that u misses, or v* > u_t, makes the LP infeasible."""
     num, den = u[target] if pinned else 0, 1  # v* so far, as num / den
-    for index, values, rhs in inst.int_rows:
+    for index, values, rhs in inst.row_matrix:
         rest, c_t = rhs, 0
         for i, c in zip(index, values):
             if i == target:
@@ -90,9 +90,22 @@ def _helper_by_lp(inst, x_cur, finalized, target, mode):
                         objective=objective)
     # the instance's exact rows in both modes, so that a float failure
     # falls back on its own numbers
-    start, index, values, rhs = inst.row_matrix.arrays(True)
-    prob.add_rows(start, index, values, lp.GE, rhs)
+    m = inst.row_matrix
+    prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
     return lp.solve(prob, mode=mode)
+
+
+def relaxation_lp(inst):
+    """The instance's LP relaxation: min objective . x (0 without an
+    objective) over its rows and [0, cap]^n."""
+    prob = lp.LpProblem(
+        num_cols=inst.num_vars,
+        upper=[inst.var_upper] * inst.num_vars,
+        objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
+    )
+    m = inst.row_matrix  # exact in both modes, as in _helper_by_lp
+    prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
+    return prob
 
 
 def dom_to_ip(inst, x_tilde, mode="float"):

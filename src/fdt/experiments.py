@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import lp
 from .binary import fdt_dive, fdt_tree
+from .domtoip import relaxation_lp
 from .generators import enumerate_cv, gen_tap, gen_vc
 from .model import support
 from .twoec import fdt_2ec, verify_certificate_2ec
@@ -145,16 +146,7 @@ def run_vc_experiment(graphs, seed=0, mode="float", dive_tries=5, tree=True):
 
 def _solve_relaxation(inst, mode):
     """(LP optimum, optimal vertex) of the instance relaxation."""
-    prob = lp.LpProblem(
-        num_cols=inst.num_vars,
-        upper=[inst.var_upper] * inst.num_vars,
-        objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
-    )
-    # the instance's exact rows in both modes, so that a float failure
-    # falls back on its own numbers
-    start, index, values, rhs = inst.row_matrix.arrays(True)
-    prob.add_rows(start, index, values, lp.GE, rhs)
-    out = lp.solve(prob, mode=mode)
+    out = lp.solve(relaxation_lp(inst), mode=mode)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"relaxation {out.status}")
     return float(out.objective), out.solution

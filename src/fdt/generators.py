@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import lp
 from .graphs import Graph, GraphError, make_graph
-from .model import BINARY, Row, RowMatrix, make_instance
+from .model import BINARY, RowMatrix, make_instance
 from .twoec import SubtourPoint, separate_subtour
 
 FRACTIONAL_TOL = 1e-9
@@ -169,19 +169,21 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
     col = {e: i for i, e in enumerate(cycle_idx)}
     path_set = set(path_idx)
 
-    def cut_row(side):
+    rows = RowMatrix()
+
+    def add_cut(side):
         crossing = graph.cut_edges(side)
-        return Row({col[e]: 1 for e in crossing if e in col},
-                   2 - sum(1 for e in crossing if e in path_set))
+        index = [col[e] for e in crossing if e in col]
+        rows.append(index, [1] * len(index), 2 - sum(1 for e in crossing if e in path_set))
 
     cuts = [frozenset([v]) for v in range(graph.num_vertices)]
     seen = set(cuts)
-    rows = RowMatrix(map(cut_row, cuts))
+    for side in cuts:
+        add_cut(side)
     for _ in range(200):
         prob = lp.LpProblem(num_cols=len(cycle_idx), upper=[2] * len(cycle_idx),
                             objective=c)
-        start, index, values, rhs = rows.arrays(True)
-        prob.add_rows(start, index, values, lp.GE, rhs)
+        prob.add_rows(rows.start, rows.index, rows.values, lp.GE, rows.rhs)
         out = lp.solve(prob, mode="float")
         if out.status != lp.OPTIMAL:
             raise CvGenerationError(
@@ -199,7 +201,7 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
             return None  # separator stuck at tolerance boundary
         seen.add(side)
         cuts.append(side)
-        rows.append(cut_row(side))
+        add_cut(side)
     return None
 
 

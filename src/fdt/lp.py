@@ -55,8 +55,9 @@ class LpProblem:
     The rows are kept as CSR lists (csr()): row r has the entries
     start[r]:start[r+1] of (index, value), its sense (LE, GE or EQ) and its
     right-hand side.  add_rows appends a block in that form, copying it;
-    values and right-hand sides are floats, or exact numbers (ints,
-    Fractions) for the rational backend.  add_row appends one row given as
+    values and right-hand sides are ints, Fractions or floats, and each
+    backend reads them all (the float one as floats, the rational one
+    exactly).  add_row appends one row given as
     a {column: coef} dict, as a one-row block.  rows is a read-only view of
     all rows as (coef dict, sense, rhs) triples.  An upper bound of None or
     inf means unbounded.
@@ -154,7 +155,7 @@ def solve(problem, mode):
 
 
 def _solve_rational(problem):
-    status, x, obj, _, _ = simplex.solve_rational(problem)
+    status, x, obj = simplex.solve_rational(problem)
     if status != OPTIMAL:
         return LpOutcome(status, mode="rational")
     return LpOutcome(OPTIMAL, solution=x, objective=obj, mode="rational")

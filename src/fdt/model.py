@@ -2,9 +2,10 @@
 
 An instance is a constraint system ``A x >= b`` over binary or {0,1,2}
 variables, optionally with a nonnegative cost vector.  All coefficients are
-kept as exact rationals internally; float views are produced on demand so
-the same instance can be fed to either the exact or the floating-point LP
-backend.
+kept as exact rationals.  Library code reads an instance's rows only
+through its RowMatrix, one set of exact CSR lists that both LP backends,
+the integer checks and the verifier share; the Row dicts remain for
+building instances and for reading and writing JSON.
 """
 
 import json
@@ -72,46 +73,35 @@ class Row:
     def value(self, x):
         return sum(c * x[i] for i, c in self.coef.items())
 
-    def slack(self, x):
-        return self.value(x) - self.rhs
-
 
 class RowMatrix:
     """Rows  sum_k values[k] * x[index[k]] >= rhs[r]  over k in
-    start[r]:start[r+1], as CSR lists of exact numbers (integral Fractions
-    stored as ints, which the exact simplex reads faster), plus a float
-    view of values and rhs, made when first asked for and extended by every
-    later append.  The lists are the matrix's own: callers read them and
-    copy what they keep."""
+    start[r]:start[r+1], as CSR lists of exact numbers, integral Fractions
+    stored as ints: sums over integer points stay in int arithmetic, and
+    the exact simplex reads them faster.  The float backend converts them
+    where it hands them to HiGHS.  The lists are the matrix's own: callers
+    read them and copy what they keep."""
 
     def __init__(self, rows=()):
         self.start, self.index, self.values, self.rhs = [0], [], [], []
-        self._floats = None
         for row in rows:
-            self.append(row)
+            self.append(row.coef, row.coef.values(), row.rhs)
 
     def __len__(self):
         return len(self.rhs)
 
-    def append(self, row):
-        """Add one Row at the end."""
-        values = list(map(_int_if_integral, row.coef.values()))
-        rhs = _int_if_integral(row.rhs)
-        self.index.extend(row.coef)
-        self.values.extend(values)
-        self.rhs.append(rhs)
-        self.start.append(len(self.index))
-        if self._floats is not None:
-            self._floats[0].extend(map(float, values))
-            self._floats[1].append(float(rhs))
+    def __iter__(self):
+        """Each row as (index, values, rhs), its slices of the lists."""
+        index, values = self.index, self.values
+        return ((index[a:b], values[a:b], rhs)
+                for a, b, rhs in zip(self.start, self.start[1:], self.rhs))
 
-    def arrays(self, exact):
-        """(start, index, values, rhs), values and rhs exact or floats."""
-        if exact:
-            return self.start, self.index, self.values, self.rhs
-        if self._floats is None:
-            self._floats = (list(map(float, self.values)), list(map(float, self.rhs)))
-        return (self.start, self.index) + self._floats
+    def append(self, index, values, rhs):
+        """Add the row  sum_k values[k] * x[index[k]] >= rhs  at the end."""
+        self.index.extend(index)
+        self.values.extend(map(_int_if_integral, values))
+        self.rhs.append(_int_if_integral(rhs))
+        self.start.append(len(self.index))
 
 
 def _int_if_integral(v):
@@ -155,19 +145,10 @@ class IpInstance:
         return RowMatrix(self.rows)
 
     @cached_property
-    def int_rows(self):
-        """The rows as (index list, coefficient list, rhs) triples, read from
-        row_matrix's exact values: integral numbers are ints, so sums over
-        integer points stay in int arithmetic."""
-        m = self.row_matrix
-        return tuple((m.index[a:b], m.values[a:b], rhs)
-                     for a, b, rhs in zip(m.start, m.start[1:], m.rhs))
-
-    @cached_property
     def covering(self):
         """Is every row coefficient >= 0?  make_instance negates <= rows and
         splits == rows into a negated pair, so those instances are not."""
-        return all(c >= 0 for _, values, _ in self.int_rows for c in values)
+        return all(c >= 0 for c in self.row_matrix.values)
 
     def cost(self, x):
         if self.objective is None:
@@ -268,11 +249,20 @@ def check_integer_feasible(z, inst, tol=ZERO_TOL):
     for i, v in enumerate(zi):
         if not (0 <= v <= inst.var_upper):
             report.append(f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}")
-    for k, (index, values, rhs) in enumerate(inst.int_rows):
-        value = sum([c * zi[i] for i, c in zip(index, values)])
-        if value - rhs < -tol:
-            report.append(f"row {k} violated: {float(value):g} < {float(rhs):g}")
+    report.extend(f"row {k} violated: {float(value):g} < {float(rhs):g}"
+                  for k, value, rhs in row_violations(zi, inst.row_matrix, tol))
     return not report, report
+
+
+def row_violations(x, rows, tol):
+    """(k, value, rhs) for each row k of rows (a RowMatrix) whose value at
+    x falls short of its right-hand side by more than tol."""
+    missed = []
+    for k, (index, values, rhs) in enumerate(rows):
+        value = sum([c * x[i] for i, c in zip(index, values)])
+        if value - rhs < -tol:
+            missed.append((k, value, rhs))
+    return missed
 
 
 @dataclass(frozen=True)
@@ -306,8 +296,8 @@ def verify_certificate(cert, inst, tol=1e-6):
         return None if ok else f"infeasible: {sub[0]}"
 
     def violations(x):
-        return [f"base point violates row {k}: {float(row.value(x)):.9g} < {float(row.rhs):.9g}"
-                for k, row in enumerate(inst.rows) if row.slack(x) < -tol]
+        return [f"base point violates row {k}: {float(value):.9g} < {float(rhs):.9g}"
+                for k, value, rhs in row_violations(x, inst.row_matrix, tol)]
 
     return verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
                             violations, tol)

@@ -30,10 +30,10 @@ changes no comparison.
 
 Bland's rule therefore reads the same signs and makes the same
 comparisons as a Fraction tableau would: from the same starting basis, the
-pivot sequence, vertex, basis and duals are those of a Fraction simplex.
-A different start can end at a different optimal vertex of a degenerate
-LP, with the same optimal value.  Fractions appear only at the edges:
-reading the problem, and returning values, objective and duals.
+pivot sequence and vertex are those of a Fraction simplex.  A different
+start can end at a different optimal vertex of a degenerate LP, with the
+same optimal value.  Fractions appear only at the edges: reading the
+problem, and returning values and objective.
 """
 
 from fractions import Fraction
@@ -330,40 +330,20 @@ class _Tableau:
 
 
 def solve_rational(problem):
-    """Exact two-phase simplex.  Returns (status, values, objective, basis, duals).
-
-    values covers the problem's structural columns only; basis lists the
-    basic column indices (structural and slack); duals has one multiplier per
-    original row, None for equality rows (they have no slack to read it from).
-    """
+    """Exact two-phase simplex.  Returns (status, values, objective); values
+    covers the problem's structural columns only."""
     rows, slacks, lo, hi, cost, scale, ncol = _to_equality_form(problem)
     tab = _Tableau(rows, slacks, lo, hi, ncol)
 
     tab.run(([0] * ncol, 1), art_cost=1)
     # artificials never go negative, so phase 1 reached 0 iff each one is 0
     if any(tab.N[i][ncol] for i in range(tab.m) if tab.basis[i] >= ncol):
-        return "infeasible", None, None, None, None
+        return "infeasible", None, None
     tab.drive_out_artificials()
 
     status = tab.run(cost, art_cost=0)
     if status == "unbounded":
-        return "unbounded", None, None, None, None
+        return "unbounded", None, None
 
     x = tab.values(problem.num_cols, scale)
-    obj = sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))
-    basis = sorted(j for j in tab.basis if j < ncol)
-    duals = _recover_duals(slacks, tab.d)
-    if problem.maximize:
-        duals = [None if y is None else -y for y in duals]
-    return "optimal", x, obj, basis, duals
-
-
-def _recover_duals(slacks, d):
-    """y_k = c_B . B^{-1} e_k read off the slack column of row k, when present;
-    slacks are the rows' (column, coefficient) pairs from _to_equality_form
-    and d phase 2's final reduced-cost row as (ints, den).  The slack's
-    reduced cost is 0 - y_k * coefficient, and the coefficient is +-1.
-    Slack columns are not scaled, and scaling the structural columns leaves
-    c_B B^{-1} as it is, so these are the duals of the problem as given."""
-    d, den = d
-    return [None if s is None else Fraction(-s[1] * d[s[0]], den) for s in slacks]
+    return "optimal", x, sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))

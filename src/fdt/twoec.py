@@ -16,8 +16,9 @@ from . import lp
 from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
                      floor_round, prune)
 from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
-from .model import (ZERO_TOL, Row, RowMatrix, ValidationError, as_fraction, as_integer,
-                    check_base_point, is_integral, support, verify_solutions)
+from .model import (ZERO_TOL, RowMatrix, ValidationError, as_fraction, as_integer,
+                    box_violations, check_base_point, is_integral, support,
+                    verify_solutions)
 
 SEP_TOL = 1e-7
 SEP_LAMBDA_TOL = 1e-9
@@ -45,9 +46,10 @@ def separate_subtour(graph, y, threshold, tol=SEP_TOL):
 
 
 def is_subtour_feasible(point, tol=SEP_TOL):
-    if any(v < -tol or v > 2 + tol for v in point.x):
-        return False
-    return separate_subtour(point.graph, point.x, 2, tol=tol) is None
+    """Is point.x in the subtour relaxation to within tol: every coordinate
+    a number in [0, 2] and every cut at least 2?"""
+    return (not box_violations(point.x, 2, tol)
+            and not cut_violations(point.graph, point.x, tol))
 
 
 def check_2ec(graph, multiplicity):
@@ -80,7 +82,8 @@ class CutPool:
         if side in self.sides or self.everything - side in self.sides:
             return False
         self.sides.add(side)
-        self.rows.append(Row({e: 1 for e in self.graph.cut_edges(side)}, 2))
+        edges = self.graph.cut_edges(side)
+        self.rows.append(edges, [1] * len(edges), 2)
         return True
 
 

@@ -9,7 +9,7 @@ from fdt.binary import (InvariantError, _leaf_solution, branch_lpc, fdt_dive,
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import make_graph
 from fdt.generators import gen_vc
-from fdt.model import ZEROONETWO, make_instance, support, verify_certificate
+from fdt.model import ZEROONETWO, ValidationError, make_instance, support, verify_certificate
 
 HALF = Fraction(1, 2)
 
@@ -193,6 +193,39 @@ class TestFdtTree:
             ok, report = verify_certificate(cert, inst)
             assert ok, (i, report)
             assert float(cert.factor) <= 2 + 1e-6
+
+
+class TestPremise:
+    """Both trees refuse an x* outside P, the relaxation, to within their
+    tolerance; an empty P is a gap signal instead."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("x", [(Fraction(1, 10),) * 3, (0, 0, 0)])
+    @pytest.mark.parametrize("tree", [fdt_tree, fdt_dive])
+    def test_point_outside_relaxation_refused(self, tree, x, mode):
+        with pytest.raises(ValidationError, match=r"^x\*: violates row 0: "):
+            tree(triangle(), x, mode=mode)
+
+    @pytest.mark.parametrize("tree", [fdt_tree, fdt_dive])
+    def test_float_mode_allows_its_tolerance(self, tree):
+        x = [0.5 - 1e-8] * 3  # every row short by 2e-8
+        tree(triangle(), x, mode="float")
+        with pytest.raises(ValidationError):
+            tree(triangle(), x, mode="rational")
+
+    @pytest.mark.parametrize("tree", [fdt_tree, fdt_dive])
+    def test_empty_relaxation_is_a_gap_signal(self, tree):
+        inst = make_instance(2, [({0: 1, 1: 1}, 3)])
+        with pytest.raises(UnboundedGapOrInfeasible):
+            tree(inst, [1, 1], mode="float")
+
+    def test_emptiness_lp_runs_only_when_a_row_is_missed(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("relaxation LP built for an x* in P")
+
+        monkeypatch.setattr(binary, "relaxation_lp", refuse)
+        fdt_tree(triangle(), [HALF] * 3, mode="rational")
+        fdt_dive(triangle(), [HALF] * 3, mode="rational")
 
 
 class TestFdtDive:

@@ -209,20 +209,33 @@ class TestVerifyInput:
         assert "domination fails" in capsys.readouterr().out
 
     def test_point_outside_relaxation_is_invalid(self, triangle_setup, tmp_path, capsys):
-        # x* = (1/10, 1/10, 1/10) misses every row; the tree still returns a
-        # combination dominated by C x*, so only the premise check catches it
+        # x* = (1/10, 1/10, 1/10) misses every row, but the combination of
+        # the three two-vertex covers is dominated by C x* at C = 20/3, so
+        # only the premise check catches this certificate
         inst_path, _ = triangle_setup
-        point_path = tmp_path / "outside.json"
-        write_point(point_path, ["1/10", "1/10", "1/10"])
         cert_path = tmp_path / "outside-cert.json"
-        assert main(["solve", "--rational", "--instance", str(inst_path),
-                     "--point", str(point_path), "--out", str(cert_path)]) == 0
-        capsys.readouterr()
+        cert_path.write_text(json.dumps({
+            "name": "vc", "mode": "rational", "factor": "20/3",
+            "weights": ["1/3", "1/3", "1/3"],
+            "solutions": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "base_point": ["1/10", "1/10", "1/10"]}))
         assert main(["verify", "--certificate", str(cert_path),
                      "--instance", str(inst_path)]) == 2
         out = capsys.readouterr().out.splitlines()
         assert "base point violates row 0: 0.2 < 1" in out
         assert out[-1] == "INVALID"
+
+    @pytest.mark.parametrize("mode", [["--rational"], []])
+    @pytest.mark.parametrize("x", [["1/10"] * 3, [0, 0, 0]])
+    def test_solve_refuses_point_outside_relaxation(self, triangle_setup, tmp_path,
+                                                     capsys, mode, x):
+        inst_path, _ = triangle_setup
+        point_path = tmp_path / "outside.json"
+        write_point(point_path, x)
+        capsys.readouterr()
+        assert main(["solve", *mode, "--instance", str(inst_path),
+                     "--point", str(point_path)]) == 1
+        assert "error: x*: violates row 0" in capsys.readouterr().err
 
     def test_missing_key_is_data_error(self, triangle_setup, capsys):
         inst_path, cert_path = triangle_setup

@@ -1,9 +1,9 @@
 """Golden outputs of the exact simplex, the rational tree and the float 2EC tree.
 
 Bland's rule and the starting basis fix the pivot sequence, so the exact
-simplex must return the same vertex, basis and duals however its arithmetic
-is organised, and the rational tree built on it must return the same
-certificates.  The expected values in golden_rational.json were recorded
+simplex must return the same status, vertex and objective however its
+arithmetic is organised, and the rational tree built on it must return the
+same certificates.  The expected values in golden_rational.json were recorded
 from the dense-pivot simplex that preceded the sparse one, and regenerated
 when the simplex moved from an all-artificial start to the slack basis.
 From the new start Bland's rule ends at another optimal basis of some
@@ -30,7 +30,9 @@ their basis and duals; six of the atlas-45 branching LPs ended at another
 optimal basis, three of them at another vertex, so four of the pruning LPs
 after them are other LPs.  Every stored LP kept its status and objective.
 test_pivot_counts pins the number of pivots, which the start cut by more
-than half.
+than half.  The simplex no longer returns a basis or duals; their keys were
+dropped from golden_simplex.json, and the simplex records of
+golden_rational.json still hold them, unread.
 
 Regenerate the files (``PYTHONPATH=src python tests/test_golden.py``) only
 when a change of pivot rule, LP model or cut order is intended.
@@ -257,13 +259,11 @@ def _fmt(v):
 
 
 def simplex_record(problem):
-    status, x, obj, basis, duals = solve_rational(problem)
+    status, x, obj = solve_rational(problem)
     return {
         "status": status,
         "x": None if x is None else [_fmt(v) for v in x],
         "obj": _fmt(obj),
-        "basis": basis,
-        "duals": None if duals is None else [_fmt(y) for y in duals],
     }
 
 
@@ -290,7 +290,9 @@ def _load(path=GOLDEN):
 @pytest.mark.parametrize("name,problem", golden_problems(),
                          ids=[name for name, _ in golden_problems()])
 def test_simplex_matches_golden(name, problem):
-    assert simplex_record(problem) == _load()["simplex"][name]
+    # the stored records also hold a basis and duals, which are not compared
+    expected = _load()["simplex"][name]
+    assert simplex_record(problem) == {key: expected[key] for key in ("status", "x", "obj")}
 
 
 @pytest.mark.parametrize("name,problem", wide_problems(),

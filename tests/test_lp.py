@@ -172,15 +172,6 @@ class TestVertexProperty:
             assert len(nonzero) == 1
 
 
-class TestDuals:
-    def test_maximization_dual_sign(self):
-        p = lp.LpProblem(num_cols=1, upper=[None], objective=[1], maximize=True)
-        p.add_row({0: 1}, "<=", 5)
-        status, _, _, _, duals = simplex.solve_rational(p)
-        assert status == lp.OPTIMAL
-        assert duals[0] == 1
-
-
 def linprog_oracle(problem):
     """scipy.optimize.linprog(method="highs-ds") on the problem, built the
     way the float backend used to build it: dense rows, >= rows negated."""
@@ -374,9 +365,7 @@ def node_lps(monkeypatch, mode):
     for e in range(2):
         branch_lpc_2ec(pt.graph, x, e, cut_pool=pool, mode=mode)
     assert len(pool) > 0
-    start, index, values, rhs = pool.rows.arrays(True)
-    rows = [Row(dict(zip(index[lo:hi], values[lo:hi])), r)
-            for lo, hi, r in zip(start, start[1:], rhs)]
+    rows = [Row(dict(zip(index, values)), r) for index, values, r in pool.rows]
     pinned = [e for e, v in enumerate(x) if v >= 1]
     assert pinned
     built = built_lps(monkeypatch, lambda: branch_lpc_2ec(pt.graph, x, 2, cut_pool=pool,

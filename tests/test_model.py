@@ -22,8 +22,12 @@ class TestRowMatrix:
             Row({}, Fraction(0)),
             Row({2: Fraction(5, 1)}, Fraction(7, 2))]
 
+    @staticmethod
+    def lists(m):
+        return m.start, m.index, m.values, m.rhs
+
     def test_integral_fractions_stored_as_ints(self):
-        start, index, values, rhs = RowMatrix(self.ROWS).arrays(True)
+        start, index, values, rhs = self.lists(RowMatrix(self.ROWS))
         assert (start, index) == ([0, 2, 3, 3, 4], [0, 2, 1, 2])
         assert values == [1, Fraction(1, 3), -2, 5] and rhs == [2, Fraction(-1, 3), 0,
                                                                   Fraction(7, 2)]
@@ -34,24 +38,16 @@ class TestRowMatrix:
     def test_append_equals_one_matrix(self, split):
         grown = RowMatrix(self.ROWS[:split])
         for row in self.ROWS[split:]:
-            grown.append(row)
+            grown.append(row.coef, row.coef.values(), row.rhs)
         whole = RowMatrix(self.ROWS)
         assert len(grown) == len(whole) == len(self.ROWS)
-        assert grown.arrays(True) == whole.arrays(True)
-        assert grown.arrays(False) == whole.arrays(False)
+        assert self.lists(grown) == self.lists(whole)
 
-    def test_float_view_follows_appends(self):
-        # the float view is made once; an append after that must reach it,
-        # or HiGHS would be fed the old rows
-        m = RowMatrix(self.ROWS[:2])
-        assert m.arrays(False)[2:] == ([1.0, 1 / 3, -2.0], [2.0, -1 / 3])
-        for row in self.ROWS[2:]:
-            m.append(row)
-            start, index, values, rhs = m.arrays(False)
-            assert (start, index) == tuple(m.arrays(True)[:2])
-            assert values == [float(v) for v in m.values]
-            assert rhs == [float(v) for v in m.rhs]
-        assert m.arrays(False)[2:] == ([1.0, 1 / 3, -2.0, 5.0], [2.0, -1 / 3, 0.0, 3.5])
+    def test_rows_iterate_as_slices(self):
+        assert list(RowMatrix(self.ROWS)) == [([0, 2], [1, Fraction(1, 3)], 2),
+                                               ([1], [-2], Fraction(-1, 3)),
+                                               ([], [], 0),
+                                               ([2], [5], Fraction(7, 2))]
 
 
 class TestNumbers:

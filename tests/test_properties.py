@@ -1,8 +1,9 @@
 """Property tests: on random covering instances, binary and {0,1,2}, the
 tree's certificates verify, exactly in rational mode, and dom_to_ip's helper
 LP has the same optimum in closed form as by solving the LP; on random
-bounded LPs the exact simplex agrees with HiGHS on the optimum and returns
-a basic solution."""
+instances with rows of every sense, the checks that read an instance's
+RowMatrix agree with its Row dicts; on random bounded LPs the exact simplex
+agrees with HiGHS on the optimum and returns a basic solution."""
 
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from fdt import lp
 from fdt.binary import fdt_tree
 from fdt.domtoip import _covering_helper, _helper_by_lp
 from fdt.experiments import _solve_relaxation
-from fdt.model import BINARY, ZEROONETWO, is_integral, make_instance, verify_certificate
+from fdt.model import (BINARY, ZEROONETWO, Certificate, check_integer_feasible, is_integral,
+                       make_instance, row_violations, verify_certificate)
 from fdt.simplex import solve_rational
 
 
@@ -94,7 +96,43 @@ def test_helper_closed_form_matches_lp(draw, mode):
     assert isinstance(closed.objective, Fraction if mode == "rational" else float)
     assert abs(closed.objective - solved.objective) <= tol
     assert closed.solution[target] == closed.objective
-    assert all(row.slack(closed.solution) >= -tol for row in inst.rows)
+    assert all(row.value(closed.solution) - row.rhs >= -tol for row in inst.rows)
+
+
+@st.composite
+def mixed_instances(draw):
+    """An instance with >=, <= and == rows whose coefficients and
+    right-hand sides are ints or Fractions of either sign, an integer point
+    in its box and a rational one."""
+    kind = draw(st.sampled_from([BINARY, ZEROONETWO]))
+    cap = 1 if kind == BINARY else 2
+    n = draw(st.integers(1, 5))
+    numbers = st.one_of(st.integers(-3, 3), rationals(-3, 3))
+    rows = [(draw(st.dictionaries(st.integers(0, n - 1), numbers, max_size=n)),
+             draw(numbers), draw(st.sampled_from([">=", "<=", "=="])))
+            for _ in range(draw(st.integers(0, 5)))]
+    z = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
+    x = draw(st.lists(rationals(0, cap), min_size=n, max_size=n))
+    return make_instance(n, rows, kind=kind), z, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mixed_instances())
+def test_row_matrix_readers_match_row_dicts(draw):
+    """covering, the integer check and the premise check read the
+    instance's RowMatrix; each agrees with evaluating inst.rows directly."""
+    inst, z, x = draw
+    assert inst.covering == all(c >= 0 for row in inst.rows for c in row.coef.values())
+    ok, _ = check_integer_feasible(z, inst, tol=0)
+    assert ok == all(row.value(z) >= row.rhs for row in inst.rows)
+    missed = [(k, row.value(x), row.rhs) for k, row in enumerate(inst.rows)
+              if row.value(x) < row.rhs]
+    assert row_violations(x, inst.row_matrix, 0) == missed
+    cert = Certificate(factor=1, weights=(Fraction(1),), solutions=(tuple(z),),
+                       base_point=tuple(x))
+    _, report = verify_certificate(cert, inst, tol=0)
+    assert [line for line in report if line.startswith("base point violates")] == [
+        f"base point violates row {k}: {float(v):.9g} < {float(r):.9g}" for k, v, r in missed]
 
 
 @st.composite
@@ -128,7 +166,7 @@ def bounded_lps(draw):
 def test_exact_optimum_matches_highs(problem):
     out = lp.solve(problem, "float")
     assume(out.mode == "float")  # HiGHS reported an optimum (no exact fallback)
-    status, _, obj, _, _ = solve_rational(problem)
+    status, _, obj = solve_rational(problem)
     assert status == "optimal"
     assert abs(float(obj) - out.objective) <= 1e-6 * (1 + abs(float(obj)))
 
@@ -155,7 +193,7 @@ def test_exact_optimum_is_basic(problem):
     """The columns strictly inside their bounds, together with the slacks of
     the rows not tight at x, are linearly independent: x is a vertex, which
     the pruning LP relies on."""
-    status, x, _, _, _ = solve_rational(problem)
+    status, x, _ = solve_rational(problem)
     assume(status == "optimal")
     rows = problem.rows
     m = len(rows)

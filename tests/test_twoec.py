@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -80,6 +81,10 @@ class TestSeparation:
         over = SubtourPoint(square().graph, (3.0, 1.0, 1.0, 1.0))
         assert not is_subtour_feasible(over)
 
+    def test_nan_coordinate_is_not_subtour_feasible(self):
+        assert not is_subtour_feasible(SubtourPoint(square().graph,
+                                                    (math.nan, 2.0, 2.0, 2.0)))
+
 
 class TestRounding:
     def test_floor_caps_at_two(self):
@@ -148,11 +153,10 @@ class TestBranching:
 
     def test_pool_rows_equal_one_row_matrix(self):
         # the pool appends each cut's row in place; after every append its
-        # rows, exact and float, are those of one RowMatrix of the same rows
+        # rows are those of one RowMatrix of the same rows
         pt = cv8()
         pool = CutPool(pt.graph)
         sides = [frozenset(range(v)) for v in range(2, pt.graph.num_vertices - 1)]
-        pool.rows.arrays(False)  # the float view exists before the appends
         rows = [Row({e: 1 for e in pt.graph.cut_edges(frozenset([v]))}, 2)
                 for v in range(pt.graph.num_vertices)]
         for k, side in enumerate(sides, 1):
@@ -160,8 +164,8 @@ class TestBranching:
             rows.append(Row({e: 1 for e in pt.graph.cut_edges(side)}, 2))
             assert len(pool) == k
             one = RowMatrix(rows)
-            assert pool.rows.arrays(True) == one.arrays(True)
-            assert pool.rows.arrays(False) == one.arrays(False)
+            assert ((pool.rows.start, pool.rows.index, pool.rows.values, pool.rows.rhs)
+                    == (one.start, one.index, one.values, one.rhs))
 
     def test_zero_edge_rejected(self):
         pt = square()
