@@ -15,17 +15,16 @@ shared with the 2-edge-connectivity tree in ``fdt.twoec``.
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, relaxation_lp
-from .model import (ZERO_TOL, Certificate, ValidationError, check_base_point,
+from .model import (ZERO_TOL, Certificate, ValidationError, arithmetic, base_point,
                     check_integer_feasible, is_integral, row_violations, support)
 
+# float mode's tolerances; rational mode reads each as 0 (Arithmetic.tol)
 CHECK_TOL = 1e-6
 GAMMA_TOL = 1e-9
-_EXACT_ZERO_TOL = Fraction(ZERO_TOL)
 
 
 class InvariantError(AssertionError):
@@ -51,15 +50,16 @@ def branch_lpc(inst, x_prime, ell, integral_prefix=(), mode="float"):
     solve, on {0,1,2} instances the LP fixes them.  Branches with zero
     multiplier are reported absent.
     """
+    ar = arithmetic(mode)
     binary = inst.var_upper == 1
     fixed = {} if binary else {i: x_prime[i] for i in integral_prefix}
     out, active = _branching_lp(x_prime, ell, inst.var_upper, inst.row_matrix, (),
-                                fixed, mode)
-    return _split(out, x_prime, active, inst.var_upper, mode,
+                                fixed, ar)
+    return _split(out, x_prime, active, inst.var_upper, ar,
                   prefix=integral_prefix if binary else ())
 
 
-def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
+def _branching_lp(x, ell, cap, rows, pinned, fixed, ar):
     """Build and solve the branching LP of node x on coordinate ell;
     returns (outcome, active coordinates).
 
@@ -74,9 +74,7 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     lists, built the same way in both modes: the matrix's exact numbers
     and x's, which the float backend converts to floats for HiGHS.
     """
-    exact = mode == "rational"
-    tol = 0 if exact else ZERO_TOL
-    active = [i for i, v in enumerate(x) if v > tol]
+    active = [i for i, v in enumerate(x) if v > ar.tol(ZERO_TOL)]
     if ell not in active:
         raise ValueError("branch coordinate has value 0; nothing to split")
     a = len(active)
@@ -138,30 +136,28 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     row_start += range(row_start[-1] + arity, len(row_index) + 1, arity)
     row_rhs = [0] * (arity * len(t_sense) + cap) + [x[i] for i in active] + [1]
 
-    upper = [None if exact else math.inf] * lam + [1] * arity
+    upper = [None] * lam + [1] * arity
     upper[col[ell]] = 0  # x^0_ell = 0
     prob = lp.LpProblem(num_cols=lam + arity, upper=upper,
                         objective=[0] * lam + [1] * arity, maximize=True)
     prob.add_rows(row_start, row_index, row_value, row_sense, row_rhs)
-    out = lp.solve(prob, mode=mode)
+    out = lp.solve(prob, mode=ar.name)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"branching LP unexpectedly {out.status}")
     return out, active
 
 
-def _split(out, x, active, cap, mode, prefix=()):
+def _split(out, x, active, cap, ar, prefix=()):
     """The BranchResult of a solved branching LP: each copy rescaled by its
-    multiplier, with the prefix coordinates rounded up to 0/1."""
-    exact = mode == "rational"
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    multiplier (float values clamped to [0, cap]), the prefix rounded up to 0/1."""
+    zero, one, top = ar.number(0), ar.number(1), ar.number(cap)
+    tol = ar.tol(GAMMA_TOL)
     a = len(active)
     sol = out.solution
-    gammas = tuple(g if g > GAMMA_TOL else 0 for g in sol[(cap + 1) * a:])
-    if sum(gammas) <= GAMMA_TOL:
+    gammas = tuple(g if g > tol else 0 for g in sol[(cap + 1) * a:])
+    if sum(gammas) <= tol:
         raise UnboundedGapOrInfeasible(
-            "branching LP optimum is 0: point outside dom(P) or unbounded gap"
-        )
+            "branching LP optimum is 0: point outside dom(P) or unbounded gap")
     x_hats = []
     for j, gamma in enumerate(gammas):
         if not gamma:
@@ -170,11 +166,9 @@ def _split(out, x, active, cap, mode, prefix=()):
         xh = [zero] * len(x)
         for k, i in enumerate(active):
             v = sol[j * a + k] / gamma
-            if not exact:
-                v = min(max(v, 0.0), float(cap))
-            xh[i] = v
+            xh[i] = v if ar.exact else min(max(v, zero), top)
         for i in prefix:
-            xh[i] = zero if xh[i] <= ZERO_TOL else one
+            xh[i] = zero if xh[i] <= ar.tol(ZERO_TOL) else one
         x_hats.append(tuple(xh))
     return BranchResult(gammas=gammas, x_hats=tuple(x_hats))
 
@@ -184,13 +178,14 @@ def prune(nodes, x_star, supp=None, mode="float"):
 
     The optimum is a vertex, so at most |supp| multipliers survive; total
     mass never drops because the incoming weights are themselves feasible.
+    Entries x^j_i and multipliers of 0 are dropped (in float mode, up to
+    ZERO_TOL and GAMMA_TOL).
     """
+    ar = arithmetic(mode)
     if supp is None:
         supp = support(x_star)
-    # row i of the LP: sum_j theta_j x^j_i <= x*_i over the nodes with
-    # x^j_i > ZERO_TOL (compared as a Fraction in exact mode: the same test,
-    # made faster)
-    tol = _EXACT_ZERO_TOL if mode == "rational" else ZERO_TOL
+    # row i of the LP: sum_j theta_j x^j_i <= x*_i over the nodes with x^j_i > tol
+    tol = ar.tol(ZERO_TOL)
     points = [x for x, _ in nodes]
     start, index, value = [0], [], []
     for i in supp:
@@ -201,25 +196,23 @@ def prune(nodes, x_star, supp=None, mode="float"):
         start.append(len(index))
     prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
     prob.add_rows(start, index, value, lp.LE, [x_star[i] for i in supp])
-    out = lp.solve(prob, mode=mode)
+    out = lp.solve(prob, mode=ar.name)
     if out.status == lp.UNBOUNDED:
-        raise lp.LpError(
-            "pruning LP unbounded: a node has empty support; "
-            "the zero vector dominates the relaxation"
-        )
+        raise lp.LpError("pruning LP unbounded: a node has empty support; "
+                         "the zero vector dominates the relaxation")
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"pruning LP unexpectedly {out.status}")
     old_total = sum(w for _, w in nodes)
-    kept = [(x, th) for (x, _), th in zip(nodes, out.solution) if th > GAMMA_TOL]
+    kept = [(x, th) for (x, _), th in zip(nodes, out.solution) if th > ar.tol(GAMMA_TOL)]
     return kept, old_total, sum(w for _, w in kept)
 
 
-def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=None):
+def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise.
     x_star must lie in the relaxation P (see _base_point)."""
-    exact = mode == "rational"
-    x0 = _base_point(inst, x_star, exact)
+    ar = arithmetic(mode)
+    x0 = _base_point(inst, x_star, ar)
     supp = support(x0)
     order = list(supp)
     if branch_order == "random":
@@ -228,8 +221,8 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
         order = list(branch_order)
 
     return _decompose(
-        x0, order, mode, check, trace,
-        settle=lambda x, coord: _settle(x, coord, exact),
+        x0, order, ar, trace,
+        settle=lambda x, coord: _settle(x, coord, ar),
         branch=lambda x, depth: branch_lpc(inst, x, order[depth],
                                            integral_prefix=order[:depth], mode=mode),
         prune_level=lambda nodes: prune(nodes, x0, supp, mode=mode),
@@ -238,14 +231,13 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, check=True, trace=No
     )
 
 
-def _base_point(inst, x_star, exact):
-    """x* in the mode's numbers, once it is known to lie in P to within the
-    tree's tolerance.  A ValidationError names the first bound or row it
-    misses; an empty P, decided by one exact LP only when x* misses a row,
-    raises UnboundedGapOrInfeasible instead."""
-    tol = 0 if exact else CHECK_TOL
-    check_base_point(x_star, inst.num_vars, inst.var_upper, tol)
-    x = tuple(Fraction(v) if exact else float(v) for v in x_star)
+def _base_point(inst, x_star, ar):
+    """x* in the mode's numbers, once those are known to lie in P to within
+    the tree's tolerance (exactly in rational mode).  A ValidationError
+    names the first bound or row it misses; an empty P, decided by one exact
+    LP only when x* misses a row, raises UnboundedGapOrInfeasible instead."""
+    tol = ar.tol(CHECK_TOL)
+    x = base_point(x_star, inst.num_vars, inst.var_upper, ar, tol)
     missed = row_violations(x, inst.row_matrix, tol)
     if missed:
         if lp.solve(relaxation_lp(inst), mode="rational").status == lp.INFEASIBLE:
@@ -255,18 +247,16 @@ def _base_point(inst, x_star, exact):
     return x
 
 
-def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finish,
-               name=""):
-    """The level loop and certificate assembly shared by both trees.
+def _decompose(x0, order, ar, trace, settle, branch, prune_level, finish, name=""):
+    """The level loop and certificate assembly shared by both trees, in ar's numbers.
 
     At level d every node either settles on coordinate order[d] (settle
     returns the node to carry, or None) or is split by branch(x, d) into
     weighted children; prune_level(nodes) trims the level, which is then checked
     and traced.  finish(x) turns each leaf into a feasible solution.
     """
-    exact = mode == "rational"
     t = len(support(x0))
-    L = [(x0, Fraction(1) if exact else 1.0)]
+    L = [(x0, ar.number(1))]
     pruned_points = None  # the node points of the last pruning LP
     for depth, coord in enumerate(order):
         grown = []
@@ -287,9 +277,8 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
         else:
             L, old_total, new_total = prune_level(grown)
             pruned_points = points
-        if check:
-            _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
-                         0 if exact else CHECK_TOL)
+        _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
+                     ar.tol(CHECK_TOL))
         if trace is not None:
             trace.append({
                 "level": depth + 1, "coordinate": coord,
@@ -302,7 +291,7 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
     total = sum(w for _, w in L)
     if total <= 0:
         raise UnboundedGapOrInfeasible("no leaf mass survived")
-    factor = (Fraction(1) / total) if exact else 1.0 / total
+    factor = ar.number(1) / total
     return Certificate(
         factor=factor,
         weights=tuple(w * factor for _, w in L),
@@ -314,12 +303,12 @@ def _decompose(x0, order, mode, check, trace, settle, branch, prune_level, finis
 
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
     """One random root-to-leaf walk of the tree; deterministic given seed."""
-    exact = mode == "rational"
-    y = _base_point(inst, x_star, exact)
+    ar = arithmetic(mode)
+    y = _base_point(inst, x_star, ar)
     rng = random.Random(seed)
     order = support(y)
     for depth, coord in enumerate(order):
-        settled = _settle(y, coord, exact)
+        settled = _settle(y, coord, ar)
         if settled is not None:
             y = settled
             continue
@@ -348,8 +337,9 @@ def _leaf_solution(inst, x, mode):
     A leaf lies in the relaxation, so a floored leaf that misses a row means
     an invariant broke, not that the gap is unbounded.
     """
-    z = floor_round(x, 0 if mode == "rational" else CHECK_TOL)
-    ok, report = check_integer_feasible(z, inst)
+    ar = arithmetic(mode)
+    z = floor_round(x, ar.tol(CHECK_TOL))
+    ok, report = check_integer_feasible(z, inst, ar.tol(ZERO_TOL))
     if not ok:
         raise InvariantError(f"floored leaf is infeasible: {report[0]}")
     return dom_to_ip(inst, z, mode=mode)
@@ -358,41 +348,36 @@ def _leaf_solution(inst, x, mode):
 def floor_round(x, tol=ZERO_TOL):
     """Floor a leaf point to multiplicities, capping at 2.
 
-    Every coordinate must already be 0 or >= 1; a value strictly inside
-    (0, 1) means an upstream invariant broke.
+    Every coordinate must already be 0 or >= 1 to within tol; one inside
+    (tol, 1 - tol) means an upstream invariant broke.  tol=0 is exact.
     """
     out = []
     for i, v in enumerate(x):
-        f = float(v)
-        if tol < f < 1 - tol:
-            raise InvariantError(f"leaf coordinate {i} = {f} is in (0, 1)")
-        out.append(min(2, math.floor(f + tol)))
+        if tol < v < 1 - tol:
+            raise InvariantError(f"leaf coordinate {i} = {float(v)} is in (0, 1)")
+        out.append(min(2, math.floor(v + tol)))
     return tuple(out)
 
 
 def _check_level(L, x_star, branched, t, old_total, new_total, tol):
     if len(L) > t:
         raise InvariantError(f"level has {len(L)} nodes, limit {t}")
-    if new_total < old_total - max(tol, 1e-9):
-        raise InvariantError(
-            f"prune lost mass: {float(old_total)} -> {float(new_total)}"
-        )
+    if new_total < old_total - tol:
+        raise InvariantError(f"prune lost mass: {float(old_total)} -> {float(new_total)}")
     for x, _ in L:
         for i in branched:
-            if tol < float(x[i]) < 1 - tol:
+            if tol < x[i] < 1 - tol:
                 raise InvariantError(f"coordinate {i} has value {float(x[i])} in (0, 1)")
     for i, bound in enumerate(x_star):
         mass = sum(w * x[i] for x, w in L)
         if mass > bound + tol:
             raise InvariantError(
-                f"mass exceeds base point at {i}: {float(mass)} > {float(bound)}"
-            )
+                f"mass exceeds base point at {i}: {float(mass)} > {float(bound)}")
 
 
-def _settle(x, coord, exact):
-    """x with coordinate coord snapped to its integer value, or None while
-    it is fractional there."""
-    if not is_integral(x[coord], ZERO_TOL):
+def _settle(x, coord, ar):
+    """x with coordinate coord snapped to its integer value, in ar's
+    numbers, or None while it is fractional there."""
+    if not is_integral(x[coord]):
         return None
-    v = round(x[coord])
-    return x[:coord] + (Fraction(v) if exact else float(v),) + x[coord + 1:]
+    return x[:coord] + (ar.number(round(x[coord])),) + x[coord + 1:]

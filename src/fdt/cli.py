@@ -22,8 +22,7 @@ from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
                     instance_to_dict, is_integral, load_certificate,
                     load_instance, save_instance, verify_certificate)
-from .twoec import (SubtourPoint, fdt_2ec, load_point, save_point,
-                    verify_certificate_2ec)
+from .twoec import fdt_2ec, load_point, save_point, verify_certificate_2ec
 
 log = logging.getLogger("fdt")
 
@@ -62,14 +61,13 @@ def cmd_solve(args):
     inst = load_instance(args.instance)
     x = _load_vector(args.point)
     mode = _mode(args)
-    xs = x if mode == "rational" else [float(v) for v in x]
     try:
         if args.mode == "dive":
-            z = fdt_dive(inst, xs, seed=args.seed, mode=mode)
+            z = fdt_dive(inst, x, seed=args.seed, mode=mode)
             _emit({"values": z}, args.out)
         else:
             order = "random" if args.random_order else None
-            cert = fdt_tree(inst, xs, mode=mode, branch_order=order)
+            cert = fdt_tree(inst, x, mode=mode, branch_order=order)
             _emit(certificate_to_dict(cert, rational=mode == "rational"), args.out)
             log.info("factor %.6g with %d solutions", float(cert.factor), cert.k)
     except UnboundedGapOrInfeasible:
@@ -81,8 +79,6 @@ def cmd_solve(args):
 def cmd_solve_2ec(args):
     point = load_point(args.point)
     mode = _mode(args)
-    if mode == "float":
-        point = SubtourPoint(point.graph, tuple(float(v) for v in point.x))
     try:
         cert = fdt_2ec(point, mode=mode)
     except UnboundedGapOrInfeasible:

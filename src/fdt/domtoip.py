@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 
 from . import lp
-from .model import ZERO_TOL, ValidationError, check_integer_feasible, is_integral, support
+from .model import (ZERO_TOL, ValidationError, arithmetic, check_integer_feasible,
+                    is_integral, support)
 
 
 class UnboundedGapOrInfeasible(RuntimeError):
@@ -37,18 +38,15 @@ def _covering_helper(inst, x_cur, finalized, target, mode):
     """helper_lp on an instance whose coefficients are all >= 0, without an
     LP: its optimal value, exact in both modes, and the optimal point x_cur
     with the target coordinate lowered to it."""
+    number = arithmetic(mode).number
     # x_cur exactly, with ints where integral
     u = [p if q == 1 else Fraction(p, q)
          for p, q in (v.as_integer_ratio() for v in x_cur)]
     value = _covering_optimum(inst, u, target in finalized, target)
     if value is None:
         return lp.LpOutcome(lp.INFEASIBLE, mode=mode)
-    if mode == "rational":
-        solution = [v if isinstance(v, Fraction) else Fraction(v) for v in x_cur]
-    else:
-        solution = [float(v) for v in x_cur]
-        value = float(value)
-    solution[target] = value
+    solution = list(map(number, x_cur))
+    solution[target] = value = number(value)
     return lp.LpOutcome(lp.OPTIMAL, solution=solution, objective=value, mode=mode)
 
 
@@ -81,7 +79,7 @@ def _covering_optimum(inst, u, pinned, target):
 def _helper_by_lp(inst, x_cur, finalized, target, mode):
     """helper_lp by solving the LP, for instances with negative coefficients.
     The LP has every column; a zero-capped one is fixed at 0 by its bounds."""
-    lower = [Fraction(0) if mode == "rational" else 0.0] * inst.num_vars
+    lower = [0] * inst.num_vars
     for j in finalized:
         lower[j] = x_cur[j]
     objective = [0] * inst.num_vars
@@ -109,8 +107,10 @@ def relaxation_lp(inst):
 
 
 def dom_to_ip(inst, x_tilde, mode="float"):
-    """Algorithmic core: returns x in S with x <= x_tilde, or raises
-    UnboundedGapOrInfeasible."""
+    """Algorithmic core: returns x in S with x <= x_tilde, a list of ints,
+    or raises UnboundedGapOrInfeasible.  Rational mode reads the helper
+    LP optima exactly."""
+    ar = arithmetic(mode)
     if len(x_tilde) != inst.num_vars:
         raise ValueError("point has wrong dimension")
     for i, v in enumerate(x_tilde):
@@ -121,46 +121,38 @@ def dom_to_ip(inst, x_tilde, mode="float"):
             raise ValueError(f"coordinate {i} = {v} is not integral")
         if round(v) < 0:
             raise ValidationError(f"coordinate {i} = {v} is negative")
-    exact = mode == "rational"
-    x = [Fraction(int(round(float(v)))) if exact else float(round(float(v)))
-         for v in x_tilde]
+    x = list(map(round, x_tilde))
     supp = support(x)
     finalized = []
     for target in supp:
         out = helper_lp(inst, x, finalized, target, mode=mode)
         if out.status == lp.INFEASIBLE:
-            if not exact:
+            if not ar.exact:
                 # a misread zero optimum earlier can manufacture infeasibility;
                 # rule that out before declaring the gap unbounded
                 return dom_to_ip(inst, x_tilde, mode="rational")
             raise UnboundedGapOrInfeasible(
-                "helper LP infeasible: input outside dom(P) or unbounded gap"
-            )
+                "helper LP infeasible: input outside dom(P) or unbounded gap")
         if out.status != lp.OPTIMAL:
             raise lp.LpError(f"unexpected helper LP status {out.status}")
-        if _is_zero_objective(out.objective, exact):
-            x[target] = Fraction(0) if exact else 0.0
+        if abs(out.objective) <= ar.tol(lp.ZERO_OBJ_TOL):
+            x[target] = 0
         else:
             # smallest integer the coordinate can reach, never above its cap
-            pinned = min(int(round(float(x[target]))),
-                         math.ceil(float(out.objective) - ZERO_TOL))
-            x[target] = Fraction(pinned) if exact else float(pinned)
+            x[target] = min(x[target], math.ceil(out.objective - ar.tol(ZERO_TOL)))
         finalized.append(target)
-    ok, report = check_integer_feasible(x, inst)
+    ok, report = check_integer_feasible(x, inst, ar.tol(ZERO_TOL))
     if not ok:
-        if not exact:
+        if not ar.exact:
             return dom_to_ip(inst, x_tilde, mode="rational")
         # with exact arithmetic this means the premises fail: the input does
         # not dominate a finite-gap feasible region
         raise UnboundedGapOrInfeasible(f"no dominated solution: {report[0]}")
-    return [int(round(float(v))) for v in x]
+    return x
 
 
 def dom_to_ip_from_fractional(inst, x, mode="float"):
     """Round a relaxation point up to dom(P) and run the main routine."""
-    ceil = [min(inst.var_upper, math.ceil(float(v) - ZERO_TOL)) for v in x]
+    tol = arithmetic(mode).tol(ZERO_TOL)
+    ceil = [min(inst.var_upper, math.ceil(v - tol)) for v in x]
     return dom_to_ip(inst, [max(0, v) for v in ceil], mode=mode)
-
-
-def _is_zero_objective(v, exact):
-    return v == 0 if exact else abs(v) <= lp.ZERO_OBJ_TOL

@@ -24,6 +24,32 @@ class ValidationError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Arithmetic:
+    """A mode's numbers: its name (as lp.solve takes it), its number type
+    and whether it is exact.  tol(t) is the tolerance of a test that reads
+    t in float mode: t, or 0 in exact mode, which compares the numbers."""
+
+    name: str
+    number: type
+    exact: bool
+
+    def tol(self, t):
+        return 0 if self.exact else t
+
+
+FLOAT = Arithmetic("float", float, False)
+RATIONAL = Arithmetic("rational", Fraction, True)
+
+
+def arithmetic(mode):
+    """The Arithmetic of a mode string; ValueError for an unknown one."""
+    for ar in (FLOAT, RATIONAL):
+        if mode == ar.name:
+            return ar
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def as_fraction(v):
     """Parse a JSON-ish number (int, float, or string like '1/3') exactly."""
     if isinstance(v, Fraction):
@@ -45,15 +71,13 @@ def as_fraction(v):
 
 
 def is_zero(v, tol=ZERO_TOL):
-    if isinstance(v, Fraction) or isinstance(v, int):
-        return v == 0
-    return abs(v) <= tol
+    """Exact for ints and Fractions, to within tol for floats."""
+    return v == 0 if isinstance(v, (int, Fraction)) else abs(v) <= tol
 
 
 def is_integral(v, tol=ZERO_TOL):
-    if isinstance(v, int):
-        return True
-    if isinstance(v, Fraction):
+    """Exact for ints and Fractions, to within tol for floats."""
+    if isinstance(v, (int, Fraction)):
         return v.denominator == 1
     return abs(v - round(v)) <= tol
 
@@ -352,19 +376,18 @@ def box_violations(x, cap, tol):
             for i, v in enumerate(x) if not -tol <= v <= cap + tol]
 
 
-def check_base_point(x, n, cap, tol):
-    """Raise ValidationError unless x lies in [0, cap]^n to within tol."""
+def base_point(x, n, cap, ar, tol):
+    """x in ar's numbers, once it lies in [0, cap]^n to within tol; else ValidationError."""
     if len(x) != n:
         raise ValidationError(f"x* has length {len(x)}, expected {n}")
     problems = box_violations(x, cap, tol)
     if problems:
         raise ValidationError(f"x*: {problems[0]}")
+    return tuple(map(ar.number, x))
 
 
 def _num_out(rational):
-    if rational:
-        return lambda v: str(Fraction(v) if not isinstance(v, Fraction) else v)
-    return float
+    return (lambda v: str(Fraction(v))) if rational else float
 
 
 def certificate_to_dict(cert, rational=True):

@@ -16,10 +16,11 @@ from . import lp
 from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
                      floor_round, prune)
 from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
-from .model import (ZERO_TOL, RowMatrix, ValidationError, as_fraction, as_integer,
-                    box_violations, check_base_point, is_integral, support,
-                    verify_solutions)
+from .model import (RATIONAL, ZERO_TOL, RowMatrix, ValidationError, arithmetic,
+                    as_fraction, as_integer, base_point, box_violations,
+                    is_integral, support, verify_solutions)
 
+# float mode's separation tolerances; rational mode reads each as 0
 SEP_TOL = 1e-7
 SEP_LAMBDA_TOL = 1e-9
 MAX_SEPARATION_ROUNDS = 500
@@ -40,9 +41,7 @@ def separate_subtour(graph, y, threshold, tol=SEP_TOL):
     if graph.num_vertices < 2 or threshold <= tol:
         return None
     value, side = global_min_cut(graph, y)
-    if value < threshold - tol:
-        return side
-    return None
+    return side if value < threshold - tol else None
 
 
 def is_subtour_feasible(point, tol=SEP_TOL):
@@ -95,75 +94,78 @@ def branch_lpc_2ec(graph, x_node, e_idx, cut_pool=None, mode="float"):
     any previously found cuts) seed it, then violated cuts from the
     separator are added until each scaled copy is certified feasible.  Edges
     already at value >= 1 are pinned there.  cut_pool, when given, is shared
-    and extended in place so later branches start warm.
+    and extended in place so later branches start warm.  In rational mode
+    the pinned test and the separation are exact.
     """
+    ar = arithmetic(mode)
     if cut_pool is None:
         cut_pool = CutPool(graph)
-    pinned = [e for e, v in enumerate(x_node) if float(v) >= 1 - ZERO_TOL]
+    pinned = [e for e, v in enumerate(x_node) if v >= 1 - ar.tol(ZERO_TOL)]
     for _ in range(MAX_SEPARATION_ROUNDS):
-        out, active = _branching_lp(x_node, e_idx, 2, cut_pool.rows, pinned, {}, mode)
+        out, active = _branching_lp(x_node, e_idx, 2, cut_pool.rows, pinned, {}, ar)
         added = False
         for j in range(3):
             lj = out.solution[3 * len(active) + j]
-            if float(lj) <= SEP_LAMBDA_TOL:
+            if lj <= ar.tol(SEP_LAMBDA_TOL):
                 continue
             y = [0] * graph.num_edges
             for k, e in enumerate(active):
                 y[e] = out.solution[j * len(active) + k]
-            side = separate_subtour(graph, y, 2 * lj)
+            side = separate_subtour(graph, y, 2 * lj, ar.tol(SEP_TOL))
             if side is not None and cut_pool.add(side):
                 added = True
         if not added:
             break
     else:
         raise lp.LpError("separation did not converge")
-    return _split(out, x_node, active, 2, mode)
+    return _split(out, x_node, active, 2, ar)
 
 
-def fdt_2ec(point, mode="float", check=True, trace=None):
+def fdt_2ec(point, mode="float", trace=None):
     """Decompose a subtour-feasible point into 2-edge-connected multigraphs.
 
     Returns a certificate whose solutions are multiplicity vectors in
-    {0,1,2}^E.  A point outside the subtour relaxation (a coordinate
-    outside [0, 2] or a cut below 2, to within the tree's tolerance) raises
-    ValidationError.  A leaf failing the connectivity check in float mode triggers
-    one exact retry before giving up.
+    {0,1,2}^E.  x*, in the mode's numbers, must lie in the subtour
+    relaxation: a coordinate outside [0, 2] or a cut below 2, to within the
+    tree's tolerance (none in rational mode, whose certificates verify at
+    tol=0), raises ValidationError.  A float run that breaks an invariant
+    is retried once in rational mode, premise check included.
     """
-    tol = 0 if mode == "rational" else CHECK_TOL
-    check_base_point(point.x, point.graph.num_edges, 2, tol)
-    problems = cut_violations(point.graph, point.x, tol)
+    ar = arithmetic(mode)
+    try:
+        return _fdt_2ec(point, ar, trace)
+    except InvariantError:
+        if ar.exact:
+            raise
+        return _fdt_2ec(point, RATIONAL, trace)
+
+
+def _fdt_2ec(point, ar, trace):
+    graph = point.graph
+    tol = ar.tol(CHECK_TOL)
+    x0 = base_point(point.x, graph.num_edges, 2, ar, tol)
+    problems = cut_violations(graph, x0, tol)
     if problems:
         raise ValidationError(f"x*: {problems[0]}")
-    try:
-        return _fdt_2ec(point, mode=mode, check=check, trace=trace)
-    except InvariantError:
-        if mode == "float":
-            return _fdt_2ec(point, mode="rational", check=check, trace=trace)
-        raise
-
-
-def _fdt_2ec(point, mode, check, trace):
-    exact = mode == "rational"
-    graph = point.graph
-    x0 = tuple(as_fraction(v) if exact else float(v) for v in point.x)
     supp = support(x0)
     # fractional edges first, then index order
-    order = sorted(supp, key=lambda e: (is_integral(float(x0[e])), e))
+    order = sorted(supp, key=lambda e: (is_integral(x0[e]), e))
     cut_pool = CutPool(graph)
+    zero = ar.tol(ZERO_TOL)
 
     def finish(x):
-        F = floor_round(x)
+        F = floor_round(x, zero)
         if not check_2ec(graph, F):
             raise InvariantError("floored leaf is not 2-edge-connected")
         return F
 
     # an edge at 0 or >= 1 is settled: the floor at the leaves handles it
     return _decompose(
-        x0, order, mode, check, trace,
-        settle=lambda x, e: None if ZERO_TOL < float(x[e]) < 1 - ZERO_TOL else x,
+        x0, order, ar, trace,
+        settle=lambda x, e: None if zero < x[e] < 1 - zero else x,
         branch=lambda x, depth: branch_lpc_2ec(graph, x, order[depth],
-                                               cut_pool=cut_pool, mode=mode),
-        prune_level=lambda nodes: prune(nodes, x0, supp, mode=mode),
+                                               cut_pool=cut_pool, mode=ar.name),
+        prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
         finish=finish,
     )
 
@@ -185,8 +187,9 @@ def verify_certificate_2ec(cert, graph, tol=1e-6):
 
 def cut_violations(graph, x, tol):
     """The subtour premise: a message for the minimum cut of x if its weight
-    is below 2 - tol, else nothing."""
-    if graph.num_vertices < 2:
+    is below 2 - tol, else nothing.  The cuts of an x outside [0, 2]^E
+    (NaN included) are not checked: box_violations reports it."""
+    if graph.num_vertices < 2 or box_violations(x, 2, tol):
         return []
     value, side = global_min_cut(graph, x)
     if value >= 2 - tol:

@@ -165,10 +165,11 @@ def test_criterion_5_cv_factor(cv_batch):
 def test_criterion_6_level_invariants(vc_batch, cv_batch):
     """Per-level properties hold on every traced run: branched prefix
     integral, mass below the base point, level size <= t, prune keeps mass.
-    (The library re-checks these on every run via check=True defaults.)"""
+    (The library re-checks these on every level of every run; no option
+    turns that off.)"""
     import inspect
-    assert inspect.signature(fdt_tree).parameters["check"].default is True
-    assert inspect.signature(fdt_2ec).parameters["check"].default is True
+    assert "check" not in inspect.signature(fdt_tree).parameters
+    assert "check" not in inspect.signature(fdt_2ec).parameters
     levels = 0
     for _, x, cert, trace in vc_batch:
         t = len(support(x))

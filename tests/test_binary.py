@@ -297,6 +297,15 @@ class TestZeroOneTwo:
         ok, report = verify_certificate(cert, inst, tol=0)
         assert ok, report
 
+    def test_point_a_hair_off_half_certifies_exactly(self):
+        # x0 + x1 >= 1 + 1e-12 at (1/2 + 1e-12, 1/2): every float tolerance
+        # would read the hair as 0; rational mode keeps it
+        eps = Fraction(1, 10**12)
+        inst = make_instance(2, [({0: 1, 1: 1}, 1 + eps)], kind=ZEROONETWO)
+        cert = fdt_tree(inst, [HALF + eps, HALF], mode="rational")
+        ok, report = verify_certificate(cert, inst, tol=0)
+        assert ok, report
+
     def test_infeasible_floored_leaf_is_an_invariant_error(self):
         # (3/2, 3/2) floors to (1, 1), which misses the row: a leaf should
         # never look like this, so no gap claim is made

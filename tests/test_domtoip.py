@@ -121,6 +121,12 @@ class TestDomToIp:
             zr = dom_to_ip(triangle_vc(), x_tilde, mode="rational")
             assert zf == zr
 
+    def test_rational_mode_reads_the_helper_optimum_exactly(self):
+        # x0 >= 1 + 1e-12 over {0,1,2}: the helper LP's optimum is a hair
+        # above 1, so 1 is infeasible and the coordinate must stay at 2
+        inst = make_instance(1, [({0: 1}, 1 + Fraction(1, 10**12))], kind="zeroonetwo")
+        assert dom_to_ip(inst, [2], mode="rational") == [2]
+
     def test_zeroonetwo_caps_respected(self):
         inst = make_instance(2, [({0: 1, 1: 1}, 3)], kind="zeroonetwo")
         z = dom_to_ip(inst, [2, 2], mode="rational")

@@ -272,11 +272,13 @@ def reference_branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     return prob
 
 
-def reference_prune_lp(nodes, x_star, supp):
-    """The pruning LP as binary.prune built it from row dicts."""
+def reference_prune_lp(nodes, x_star, supp, exact):
+    """The pruning LP as binary.prune built it from row dicts, leaving out
+    entries up to ZERO_TOL in float mode and only zeros in rational mode."""
+    tol = 0 if exact else ZERO_TOL
     prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
     for i in supp:
-        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > ZERO_TOL}
+        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > tol}
         prob.add_row(coef, "<=", x_star[i])
     return prob
 
@@ -342,13 +344,14 @@ def node_lps(monkeypatch, mode):
         branch_lpc(vc, x, 1, integral_prefix=(), mode=mode)))
     pairs.append((built, reference_branching_lp(x, 1, 1, vc.rows, (), {}, mode)))
 
-    # children of that node, plus one whose coordinates fall under ZERO_TOL
+    # children of that node, plus one with a coordinate of 1e-12: under
+    # ZERO_TOL, but not zero
     br = results[0]
     nodes = [(xh, g) for g, xh in zip(br.gammas, br.x_hats) if g]
     nodes.append((tuple(num(v) for v in (Fraction(1, 10**12), 1, 0, 1, 1)), num(0)))
     supp = list(range(5))
     [built] = built_lps(monkeypatch, lambda: prune(nodes, x, supp, mode=mode))
-    pairs.append((built, reference_prune_lp(nodes, x, supp)))
+    pairs.append((built, reference_prune_lp(nodes, x, supp, exact)))
 
     # x0 is integral and on the prefix, so {0,1,2} branching fixes it;
     # row 1 has a non-dyadic coefficient and row 2 a zero right-hand side

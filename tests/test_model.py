@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fdt.model import (BINARY, ZEROONETWO, Certificate, Row, RowMatrix, ValidationError,
-                       as_fraction, certificate_from_dict, certificate_to_dict,
+from fdt import (SubtourPoint, dom_to_ip, fdt_2ec, fdt_dive, fdt_tree, gen_vc, helper_lp,
+                 make_graph)
+from fdt.model import (BINARY, FLOAT, RATIONAL, ZEROONETWO, Certificate, Row, RowMatrix,
+                       ValidationError, arithmetic, as_fraction, certificate_from_dict,
+                       certificate_to_dict,
                        check_integer_feasible, instance_from_dict,
                        instance_to_dict, is_integral, is_zero, load_instance,
                        make_instance, save_instance, support,
@@ -14,6 +17,31 @@ from fdt.model import (BINARY, ZEROONETWO, Certificate, Row, RowMatrix, Validati
 def triangle_vc():
     return make_instance(3, [({0: 1, 1: 1}, 1), ({1: 1, 2: 1}, 1),
                              ({0: 1, 2: 1}, 1)], objective=[1, 1, 1])
+
+
+class TestArithmetic:
+    def test_modes(self):
+        assert arithmetic("float") is FLOAT and arithmetic("rational") is RATIONAL
+        assert (FLOAT.number, FLOAT.exact, FLOAT.tol(1e-6)) == (float, False, 1e-6)
+        assert (RATIONAL.number, RATIONAL.exact, RATIONAL.tol(1e-6)) == (Fraction, True, 0)
+
+    @pytest.mark.parametrize("entry", ["fdt_tree", "fdt_dive", "fdt_2ec", "dom_to_ip",
+                                       "helper_lp"])
+    def test_unknown_mode_is_refused(self, entry):
+        # each of these once ran an unknown mode as float, or failed only
+        # when it reached lp.solve
+        graph = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+        inst = gen_vc(graph)
+        half = [Fraction(1, 2)] * 3
+        calls = {
+            "fdt_tree": lambda: fdt_tree(inst, half, mode="exact"),
+            "fdt_dive": lambda: fdt_dive(inst, half, mode="exact"),
+            "fdt_2ec": lambda: fdt_2ec(SubtourPoint(graph, (1,) * 3), mode="exact"),
+            "dom_to_ip": lambda: dom_to_ip(inst, [1, 1, 1], mode="exact"),
+            "helper_lp": lambda: helper_lp(inst, [1, 1, 1], [], 0, mode="exact"),
+        }
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            calls[entry]()
 
 
 class TestRowMatrix:

@@ -1,5 +1,7 @@
 """Property tests: on random covering instances, binary and {0,1,2}, the
-tree's certificates verify, exactly in rational mode, and dom_to_ip's helper
+tree's certificates verify, exactly in rational mode, also at points
+within float tolerances of a vertex, as do the rational 2EC tree's on
+K4 and K5; dom_to_ip's helper
 LP has the same optimum in closed form as by solving the LP; on random
 instances with rows of every sense, the checks that read an instance's
 RowMatrix agree with its Row dicts; on random bounded LPs the exact simplex
@@ -14,9 +16,13 @@ from fdt import lp
 from fdt.binary import fdt_tree
 from fdt.domtoip import _covering_helper, _helper_by_lp
 from fdt.experiments import _solve_relaxation
+from fdt.graphs import make_graph
 from fdt.model import (BINARY, ZEROONETWO, Certificate, check_integer_feasible, is_integral,
                        make_instance, row_violations, verify_certificate)
 from fdt.simplex import solve_rational
+from fdt.twoec import SubtourPoint, fdt_2ec, verify_certificate_2ec
+
+E12 = Fraction(1, 10**12)  # far inside every float tolerance
 
 
 def rationals(lo, hi):
@@ -56,6 +62,40 @@ def test_certificates_verify(inst):
 
     approx = fdt_tree(inst, [float(v) for v in x], mode="float")
     ok, report = verify_certificate(approx, inst)
+    assert ok, report
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(covering_instances(), st.data())
+def test_rational_certificates_verify_off_the_vertex_by_1e_12(inst, data):
+    """x* is a relaxation vertex with each coordinate raised by k * 1e-12
+    (still in P: every coefficient is >= 0).  Such values sit inside every
+    float tolerance, and the rational tree compares them exactly."""
+    _, x = _solve_relaxation(inst, "rational")
+    moves = data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x)))
+    x = [min(v + k * E12, inst.var_upper) for v, k in zip(x, moves)]
+    assume(not all(is_integral(v) for v in x))
+    cert = fdt_tree(inst, x, mode="rational")
+    ok, report = verify_certificate(cert, inst, tol=0)
+    assert ok, report
+
+
+@settings(max_examples=32, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 5]), st.data())
+def test_rational_2ec_certificates_verify_off_the_vertex_by_1e_12(n, data):
+    """K_n at 2/(n-1) per edge, every cut at least 2, with each edge raised
+    by k * 1e-12, plus parallel copies of some edges at k * 1e-12: the
+    rational 2EC tree's certificate verifies at tol=0."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    raised = data.draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    x = [Fraction(2, n - 1) + k * E12 for k in raised]
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(edges), st.integers(1, 2)),
+                                max_size=2))
+    graph = make_graph(n, edges + [e for e, _ in copies])
+    point = SubtourPoint(graph, tuple(x + [k * E12 for _, k in copies]))
+    cert = fdt_2ec(point, mode="rational")
+    ok, report = verify_certificate_2ec(cert, graph, tol=0)
     assert ok, report
 
 

@@ -85,6 +85,14 @@ class TestSeparation:
         assert not is_subtour_feasible(SubtourPoint(square().graph,
                                                     (math.nan, 2.0, 2.0, 2.0)))
 
+    def test_verifier_reports_nan_coordinate(self):
+        # the min cut of a NaN-weighted graph is undefined: the box report
+        # names the problem, and the cuts are not checked
+        cert = Certificate(1.0, (1.0,), ((1, 1, 1, 1),), (math.nan, 1.0, 1.0, 1.0))
+        ok, report = verify_certificate_2ec(cert, square().graph)
+        assert not ok
+        assert report == ["base point: coordinate 0 = nan outside [0, 2]"]
+
 
 class TestRounding:
     def test_floor_caps_at_two(self):
