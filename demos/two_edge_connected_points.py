@@ -13,7 +13,8 @@ Run:  python3 demos/two_edge_connected_points.py
 from collections import Counter
 
 from fdt.generators import enumerate_cv, gen_cv
-from fdt.twoec import check_2ec, fdt_2ec, verify_certificate_2ec
+from fdt.model import check_2ec, verify_certificate_2ec
+from fdt.twoec import fdt_2ec
 
 
 def main():

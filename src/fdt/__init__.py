@@ -16,12 +16,12 @@ from .generators import (CvGenerationError, CvInstance, TapInstance,
 from .graphs import Graph, GraphError, global_min_cut, make_graph
 from .lp import LpError, LpOutcome, LpProblem, solve
 from .model import (BINARY, ZEROONETWO, Certificate, IpInstance, Row,
-                    ValidationError, check_integer_feasible, load_certificate,
-                    load_instance, make_instance, save_certificate,
-                    save_instance, support, verify_certificate)
-from .twoec import (SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
-                    is_subtour_feasible, load_point, save_point,
-                    separate_subtour, verify_certificate_2ec)
+                    ValidationError, check_2ec, check_integer_feasible,
+                    is_subtour_feasible, load_certificate, load_instance,
+                    make_instance, save_certificate, save_instance, support,
+                    verify_certificate, verify_certificate_2ec)
+from .twoec import (SubtourPoint, branch_lpc_2ec, fdt_2ec, load_point, save_point,
+                    separate_subtour)
 
 __version__ = "0.1.0"
 

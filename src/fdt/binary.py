@@ -337,9 +337,8 @@ def _leaf_solution(inst, x, mode):
     A leaf lies in the relaxation, so a floored leaf that misses a row means
     an invariant broke, not that the gap is unbounded.
     """
-    ar = arithmetic(mode)
-    z = floor_round(x, ar.tol(CHECK_TOL))
-    ok, report = check_integer_feasible(z, inst, ar.tol(ZERO_TOL))
+    z = floor_round(x, arithmetic(mode).tol(CHECK_TOL))
+    ok, report = check_integer_feasible(z, inst)
     if not ok:
         raise InvariantError(f"floored leaf is infeasible: {report[0]}")
     return dom_to_ip(inst, z, mode=mode)

@@ -8,7 +8,6 @@ import argparse
 import json
 import logging
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -21,8 +20,9 @@ from .graphs import make_graph
 from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
                     instance_to_dict, is_integral, load_certificate,
-                    load_instance, save_instance, verify_certificate)
-from .twoec import fdt_2ec, load_point, save_point, verify_certificate_2ec
+                    load_instance, save_instance, verify_certificate,
+                    verify_certificate_2ec)
+from .twoec import fdt_2ec, load_point, save_point
 
 log = logging.getLogger("fdt")
 
@@ -44,16 +44,8 @@ def _mode(args):
 def cmd_domtoip(args):
     inst = load_instance(args.instance)
     x = _load_vector(args.point)
-    mode = args.mode or _mode(args)
-    try:
-        if all(is_integral(v) for v in x):
-            z = dom_to_ip(inst, x, mode=mode)
-        else:
-            z = dom_to_ip_from_fractional(inst, x, mode=mode)
-    except UnboundedGapOrInfeasible:
-        print("unbounded-gap-or-infeasible")
-        return 2
-    _emit({"values": z}, args.out)
+    push = dom_to_ip if all(is_integral(v) for v in x) else dom_to_ip_from_fractional
+    _emit({"values": push(inst, x, mode=_mode(args))}, args.out)
     return 0
 
 
@@ -61,29 +53,21 @@ def cmd_solve(args):
     inst = load_instance(args.instance)
     x = _load_vector(args.point)
     mode = _mode(args)
-    try:
-        if args.mode == "dive":
-            z = fdt_dive(inst, x, seed=args.seed, mode=mode)
-            _emit({"values": z}, args.out)
-        else:
-            order = "random" if args.random_order else None
-            cert = fdt_tree(inst, x, mode=mode, branch_order=order)
-            _emit(certificate_to_dict(cert, rational=mode == "rational"), args.out)
-            log.info("factor %.6g with %d solutions", float(cert.factor), cert.k)
-    except UnboundedGapOrInfeasible:
-        print("unbounded-gap-or-infeasible")
-        return 2
+    if args.mode == "dive":
+        z = fdt_dive(inst, x, seed=args.seed, mode=mode)
+        _emit({"values": z}, args.out)
+    else:
+        order = "random" if args.random_order else None
+        cert = fdt_tree(inst, x, mode=mode, branch_order=order)
+        _emit(certificate_to_dict(cert, rational=mode == "rational"), args.out)
+        log.info("factor %.6g with %d solutions", float(cert.factor), cert.k)
     return 0
 
 
 def cmd_solve_2ec(args):
     point = load_point(args.point)
     mode = _mode(args)
-    try:
-        cert = fdt_2ec(point, mode=mode)
-    except UnboundedGapOrInfeasible:
-        print("unbounded-gap-or-infeasible")
-        return 2
+    cert = fdt_2ec(point, mode=mode)
     d = certificate_to_dict(cert, rational=mode == "rational")
     d["graph"] = {"vertices": point.graph.num_vertices,
                   "edges": [list(e) for e in point.graph.edges]}
@@ -253,7 +237,6 @@ def build_parser():
     s = sub.add_parser("domtoip", help="push an integral dominating point into S")
     s.add_argument("--instance", required=True)
     s.add_argument("--point", required=True)
-    s.add_argument("--mode", choices=["float", "rational"])
     s.set_defaults(func=cmd_domtoip)
 
     s = sub.add_parser("solve", help="decompose a relaxation point (binary)")
@@ -309,6 +292,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UnboundedGapOrInfeasible:
+        print("unbounded-gap-or-infeasible")
+        return 2
     except (OSError, ValueError, LpError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

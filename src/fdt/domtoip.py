@@ -141,7 +141,7 @@ def dom_to_ip(inst, x_tilde, mode="float"):
             # smallest integer the coordinate can reach, never above its cap
             x[target] = min(x[target], math.ceil(out.objective - ar.tol(ZERO_TOL)))
         finalized.append(target)
-    ok, report = check_integer_feasible(x, inst, ar.tol(ZERO_TOL))
+    ok, report = check_integer_feasible(x, inst)
     if not ok:
         if not ar.exact:
             return dom_to_ip(inst, x_tilde, mode="rational")

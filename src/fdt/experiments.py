@@ -16,13 +16,14 @@ from . import lp
 from .binary import fdt_dive, fdt_tree
 from .domtoip import relaxation_lp
 from .generators import enumerate_cv, gen_tap, gen_vc
-from .model import support
-from .twoec import fdt_2ec, verify_certificate_2ec
+from .model import support, verify_certificate_2ec
+from .twoec import fdt_2ec
 
 RATIO_BINS = [Fraction(1), Fraction(10, 9), Fraction(8, 7), Fraction(6, 5),
               Fraction(4, 3), Fraction(3, 2)]
 FACTOR_BINS_2EC = [1.08, 1.11, 1.14, 1.17, 1.2]
 BIN_TOL = 1e-9
+DIVE_TRIES = 5  # run_vc_experiment keeps the best of this many seeded dives
 
 
 @dataclass
@@ -89,8 +90,9 @@ def run_tap_experiment(levels_range, instances_per_size, seed=0, mode="float"):
     return report
 
 
-def run_cv_experiment(k_list, seed=0, mode="float", verify=True):
-    """Certified factors over all enumerated cycle-plus-paths points."""
+def run_cv_experiment(k_list, seed=0, mode="float"):
+    """Certified, and verified, factors over all enumerated cycle-plus-paths
+    points."""
     report = ExperimentReport("cv-2ec")
     for k in k_list:
         for idx, cv in enumerate(enumerate_cv(k, seed=seed)):
@@ -98,10 +100,9 @@ def run_cv_experiment(k_list, seed=0, mode="float", verify=True):
             t0 = time.perf_counter()
             try:
                 cert = fdt_2ec(cv.point, mode=mode)
-                if verify:
-                    ok, rep = verify_certificate_2ec(cert, cv.point.graph)
-                    if not ok:
-                        raise RuntimeError(f"certificate invalid: {rep[0]}")
+                ok, rep = verify_certificate_2ec(cert, cv.point.graph)
+                if not ok:
+                    raise RuntimeError(f"certificate invalid: {rep[0]}")
                 rec.update(factor=float(cert.factor), k=cert.k,
                            support=len(support(cv.point.x)))
             except Exception as exc:
@@ -112,7 +113,7 @@ def run_cv_experiment(k_list, seed=0, mode="float", verify=True):
     return report
 
 
-def run_vc_experiment(graphs, seed=0, mode="float", dive_tries=5, tree=True):
+def run_vc_experiment(graphs, seed=0, mode="float"):
     """Cover quality of dive (best of a few seeds) and of the full tree,
     against the LP lower bound.  graphs: list of (name, Graph)."""
     report = ExperimentReport("vc")
@@ -123,18 +124,13 @@ def run_vc_experiment(graphs, seed=0, mode="float", dive_tries=5, tree=True):
             rec.update(n=graph.num_vertices, m=graph.num_edges)
             inst = gen_vc(graph, name=name)
             lp_opt, x_star = _solve_relaxation(inst, mode)
-            best = None
-            for s in range(dive_tries):
-                z = fdt_dive(inst, x_star, seed=seed * 1000 + s, mode=mode)
-                cost = float(inst.cost(z))
-                if best is None or cost < best:
-                    best = cost
-            rec["dive_cost"] = best
-            if tree:
-                cert = fdt_tree(inst, x_star, mode=mode)
-                tree_best = min(float(inst.cost(z)) for z in cert.solutions)
-                rec.update(tree_cost=tree_best, factor=float(cert.factor))
-                best = min(best, tree_best)
+            rec["dive_cost"] = min(
+                float(inst.cost(fdt_dive(inst, x_star, seed=seed * 1000 + s, mode=mode)))
+                for s in range(DIVE_TRIES))
+            cert = fdt_tree(inst, x_star, mode=mode)
+            tree_best = min(float(inst.cost(z)) for z in cert.solutions)
+            rec.update(tree_cost=tree_best, factor=float(cert.factor))
+            best = min(rec["dive_cost"], tree_best)
             rec.update(lp_opt=lp_opt, best_cost=best, ratio=best / lp_opt)
         except Exception as exc:
             rec["error"] = f"{type(exc).__name__}: {exc}"

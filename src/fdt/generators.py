@@ -11,6 +11,7 @@ from .model import BINARY, RowMatrix, make_instance
 from .twoec import SubtourPoint, separate_subtour
 
 FRACTIONAL_TOL = 1e-9
+CV_ATTEMPTS = 5  # seeded objectives gen_cv tries before it gives up
 
 
 def gen_vc(graph, costs=None, name="vc"):
@@ -127,7 +128,7 @@ def cv_support_graph(cycle_len, matching, path_lengths=None):
     return graph, list(range(k)), path_idx
 
 
-def gen_cv(cycle_len, matching, path_lengths=None, seed=0, attempts=5):
+def gen_cv(cycle_len, matching, path_lengths=None, seed=0):
     """Generate a fractional extreme point on the cycle-plus-paths support.
 
     Path edges are fixed at 1; cycle values come from minimizing a seeded
@@ -141,7 +142,7 @@ def gen_cv(cycle_len, matching, path_lengths=None, seed=0, attempts=5):
     _check_matching(k, matching)
     graph, cycle_idx, path_idx = cv_support_graph(k, matching, path_lengths)
 
-    for attempt in range(attempts):
+    for attempt in range(CV_ATTEMPTS):
         rng = random.Random((seed, attempt, k, tuple(sorted(map(tuple, matching)))).__hash__())
         c = [rng.uniform(0.5, 1.5) for _ in cycle_idx]
         y = _solve_cycle_lp(graph, cycle_idx, path_idx, c)

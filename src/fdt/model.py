@@ -1,4 +1,4 @@
-"""Instance and certificate data model.
+"""Instance and certificate data model, and the one verifier.
 
 An instance is a constraint system ``A x >= b`` over binary or {0,1,2}
 variables, optionally with a nonnegative cost vector.  All coefficients are
@@ -6,6 +6,10 @@ kept as exact rationals.  Library code reads an instance's rows only
 through its RowMatrix, one set of exact CSR lists that both LP backends,
 the integer checks and the verifier share; the Row dicts remain for
 building instances and for reading and writing JSON.
+
+Every check of both problem types is here, apart from the solvers, so a
+certificate needs trust in this module and fdt.graphs' min cut only: the
+premise x* in P, feasibility (integer points exactly) and the invariants.
 """
 
 import json
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .graphs import global_min_cut
+
 ZERO_TOL = 1e-9
+SEP_TOL = 1e-7  # the subtour separator's tolerance in float mode
 
 BINARY = "binary"
 ZEROONETWO = "zeroonetwo"
@@ -256,26 +263,29 @@ def save_instance(inst, path, rational=True):
         fh.write("\n")
 
 
-def check_integer_feasible(z, inst, tol=ZERO_TOL):
+def check_integer_feasible(z, inst):
     """Is z an integer-feasible point of the instance?
 
     Returns (ok, report) where report lists the violated rows / domain
-    entries; a row may fall short of its right-hand side by at most tol
-    (tol=0 checks exactly).  A non-integral z is a caller error and raises.
+    entries.  The check is exact: z's integers against the exact rows.  A
+    z that is not integral is a caller error and raises.
     """
     if len(z) != inst.num_vars:
         raise ValidationError(f"point has length {len(z)}, expected {inst.num_vars}")
     for i, v in enumerate(z):
-        if not is_integral(v, tol):
+        if not (_finite(v) and v == int(v)):
             raise ValidationError(f"coordinate {i} = {v} is not integral")
-    zi = [int(round(float(v))) for v in z]
-    report = []
-    for i, v in enumerate(zi):
-        if not (0 <= v <= inst.var_upper):
-            report.append(f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}")
+    zi = [int(v) for v in z]
+    report = [f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}"
+              for i, v in enumerate(zi) if not 0 <= v <= inst.var_upper]
     report.extend(f"row {k} violated: {float(value):g} < {float(rhs):g}"
-                  for k, value, rhs in row_violations(zi, inst.row_matrix, tol))
+                  for k, value, rhs in row_violations(zi, inst.row_matrix, 0))
     return not report, report
+
+
+def _finite(v):
+    """Ints and Fractions are finite; v - v is NaN for an infinite or NaN float."""
+    return v - v == 0
 
 
 def row_violations(x, rows, tol):
@@ -313,28 +323,45 @@ def verify_certificate(cert, inst, tol=1e-6):
     an instance.
 
     Returns (ok, report); the report names every failed check.  With exact
-    rational data, pass tol=0.
+    rational data, pass tol=0.  Solutions are checked exactly at any tol.
     """
     def infeasibility(z):
-        ok, sub = check_integer_feasible(z, inst, tol)
+        ok, sub = check_integer_feasible(z, inst)
         return None if ok else f"infeasible: {sub[0]}"
 
     def violations(x):
         return [f"base point violates row {k}: {float(value):.9g} < {float(rhs):.9g}"
                 for k, value, rhs in row_violations(x, inst.row_matrix, tol)]
 
-    return verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
-                            violations, tol)
+    return _verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
+                             violations, tol)
 
 
-def verify_solutions(cert, n, cap, infeasibility, violations, tol):
-    """The certificate checks shared by every verifier: the base point x*
+def verify_certificate_2ec(cert, graph, tol=1e-6):
+    """Certificate checks for the multigraph setting: those of
+    verify_certificate with cap 2, where the premise is that x* is in the
+    subtour relaxation (x* in [0, 2]^E, every cut at least 2 - tol) and a
+    solution must be a {0,1,2} multiplicity vector that is
+    2-edge-connected."""
+    def infeasibility(F):
+        if any(m not in (0, 1, 2) for m in F):
+            return "has a multiplicity outside {0,1,2}"
+        return None if check_2ec(graph, F) else "is not 2-edge-connected"
+
+    return _verify_solutions(cert, graph.num_edges, 2, infeasibility,
+                             lambda x: cut_violations(graph, x, tol), tol)
+
+
+def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
+    """The certificate checks shared by both verifiers: the base point x*
     lies in [0, cap]^n and violations(x*) lists the relaxation constraints
-    it breaks (none, when x* is in P), weights are nonnegative and sum to 1,
-    no solution is infeasible (infeasibility(z) names the problem, or
-    returns None), the combination is dominated by min(C * x*, cap), and
-    k <= |spp(x*)|.  Returns (ok, report); raises ValidationError unless
-    every vector has length n and there is one weight per solution."""
+    it breaks (none, when x* is in P), the factor and weights are finite,
+    weights are nonnegative and sum to 1, no solution is infeasible
+    (infeasibility(z) names the problem, or returns None), the combination
+    is dominated by min(C * x*, cap), and k <= |spp(x*)|.  The sum and
+    domination tests fail on NaN.  Returns (ok, report); raises
+    ValidationError unless every vector has length n and there is one
+    weight per solution."""
     if len(cert.base_point) != n:
         raise ValidationError(f"base point has length {len(cert.base_point)}, expected {n}")
     if len(cert.weights) != len(cert.solutions):
@@ -343,8 +370,12 @@ def verify_solutions(cert, n, cap, infeasibility, violations, tol):
         raise ValidationError("solution with wrong dimension")
     report = [f"base point: {p}" for p in box_violations(cert.base_point, cap, tol)]
     report.extend(violations(cert.base_point))
+    if not _finite(cert.factor):
+        report.append(f"factor: {cert.factor} is not a finite number")
+    report.extend(f"weights: weight {j} = {w} is not a finite number"
+                  for j, w in enumerate(cert.weights) if not _finite(w))
     total = sum(cert.weights)
-    if abs(total - 1) > tol:
+    if not abs(total - 1) <= tol:
         report.append(f"weights: sum is {float(total):.9g}, expected 1")
     if any(w < -tol for w in cert.weights):
         report.append("weights: negative weight")
@@ -355,9 +386,10 @@ def verify_solutions(cert, n, cap, infeasibility, violations, tol):
             report.append(f"solution {idx} {problem}")
 
     comb = cert.combination()
-    for i in range(n):
-        bound = min(cert.factor * cert.base_point[i], cap)
-        if comb[i] > bound + tol:
+    for i, x in enumerate(cert.base_point):
+        bound = min(cert.factor * x, cap)
+        # a NaN coordinate of x* is the box check's report
+        if x == x and not comb[i] <= bound + tol:
             report.append(
                 f"domination fails at coordinate {i}: "
                 f"{float(comb[i]):.9g} > min(C*x*, {cap}) = {float(bound):.9g}"
@@ -374,6 +406,34 @@ def box_violations(x, cap, tol):
     to within tol (NaN included)."""
     return [f"coordinate {i} = {float(v):.9g} outside [0, {cap}]"
             for i, v in enumerate(x) if not -tol <= v <= cap + tol]
+
+
+def cut_violations(graph, x, tol):
+    """The subtour premise: a message for the minimum cut of x if its weight
+    is below 2 - tol, else nothing.  The cuts of an x outside [0, 2]^E
+    (NaN included) are not checked: box_violations reports it."""
+    if graph.num_vertices < 2 or box_violations(x, 2, tol):
+        return []
+    value, side = global_min_cut(graph, x)
+    if value >= 2 - tol:
+        return []
+    return [f"base point violates the cut of vertices {sorted(side)}: "
+            f"{float(value):.9g} < 2"]
+
+
+def is_subtour_feasible(point, tol=SEP_TOL):
+    """Is point.x in the subtour relaxation to within tol: every coordinate
+    a number in [0, 2] and every cut at least 2?"""
+    return (not box_violations(point.x, 2, tol)
+            and not cut_violations(point.graph, point.x, tol))
+
+
+def check_2ec(graph, multiplicity):
+    """Global min cut of the multiplicity-weighted multigraph is >= 2."""
+    if graph.num_vertices < 2:
+        return True
+    value, _ = global_min_cut(graph, [int(m) for m in multiplicity])
+    return value >= 2
 
 
 def base_point(x, n, cap, ar, tol):

@@ -16,12 +16,13 @@ from . import lp
 from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
                      floor_round, prune)
 from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
-from .model import (RATIONAL, ZERO_TOL, RowMatrix, ValidationError, arithmetic,
-                    as_fraction, as_integer, base_point, box_violations,
-                    is_integral, support, verify_solutions)
+# is_subtour_feasible and verify_certificate_2ec stay names here for perfbench/spans.py
+from .model import (RATIONAL, SEP_TOL, ZERO_TOL, RowMatrix, ValidationError,
+                    arithmetic, as_fraction, as_integer, base_point, check_2ec,
+                    cut_violations, is_integral, is_subtour_feasible, support,
+                    verify_certificate_2ec)
 
-# float mode's separation tolerances; rational mode reads each as 0
-SEP_TOL = 1e-7
+# float mode's separation tolerances, with model.SEP_TOL; rational mode reads each as 0
 SEP_LAMBDA_TOL = 1e-9
 MAX_SEPARATION_ROUNDS = 500
 
@@ -42,21 +43,6 @@ def separate_subtour(graph, y, threshold, tol=SEP_TOL):
         return None
     value, side = global_min_cut(graph, y)
     return side if value < threshold - tol else None
-
-
-def is_subtour_feasible(point, tol=SEP_TOL):
-    """Is point.x in the subtour relaxation to within tol: every coordinate
-    a number in [0, 2] and every cut at least 2?"""
-    return (not box_violations(point.x, 2, tol)
-            and not cut_violations(point.graph, point.x, tol))
-
-
-def check_2ec(graph, multiplicity):
-    """Global min cut of the multiplicity-weighted multigraph is >= 2."""
-    if graph.num_vertices < 2:
-        return True
-    value, _ = global_min_cut(graph, [int(m) for m in multiplicity])
-    return value >= 2
 
 
 class CutPool:
@@ -168,34 +154,6 @@ def _fdt_2ec(point, ar, trace):
         prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
         finish=finish,
     )
-
-
-def verify_certificate_2ec(cert, graph, tol=1e-6):
-    """Certificate checks for the multigraph setting: those of
-    model.verify_certificate with cap 2, where the premise is that x* is in
-    the subtour relaxation (x* in [0, 2]^E, every cut at least 2 - tol) and
-    a solution must be a {0,1,2} multiplicity vector that is
-    2-edge-connected."""
-    def infeasibility(F):
-        if any(m not in (0, 1, 2) for m in F):
-            return "has a multiplicity outside {0,1,2}"
-        return None if check_2ec(graph, F) else "is not 2-edge-connected"
-
-    return verify_solutions(cert, graph.num_edges, 2, infeasibility,
-                            lambda x: cut_violations(graph, x, tol), tol)
-
-
-def cut_violations(graph, x, tol):
-    """The subtour premise: a message for the minimum cut of x if its weight
-    is below 2 - tol, else nothing.  The cuts of an x outside [0, 2]^E
-    (NaN included) are not checked: box_violations reports it."""
-    if graph.num_vertices < 2 or box_violations(x, 2, tol):
-        return []
-    value, side = global_min_cut(graph, x)
-    if value >= 2 - tol:
-        return []
-    return [f"base point violates the cut of vertices {sorted(side)}: "
-            f"{float(value):.9g} < 2"]
 
 
 def point_to_dict(point, rational=False):

@@ -17,8 +17,9 @@ from fdt.domtoip import UnboundedGapOrInfeasible, dom_to_ip
 from fdt.experiments import run_tap_experiment
 from fdt.generators import enumerate_cv, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import make_instance, support, verify_certificate
-from fdt.twoec import check_2ec, fdt_2ec, verify_certificate_2ec
+from fdt.model import (check_2ec, make_instance, support, verify_certificate,
+                       verify_certificate_2ec)
+from fdt.twoec import fdt_2ec
 
 # the batches below take minutes; `pytest -m "not slow"` skips this module
 pytestmark = pytest.mark.slow

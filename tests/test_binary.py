@@ -9,7 +9,8 @@ from fdt.binary import (InvariantError, _leaf_solution, branch_lpc, fdt_dive,
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import make_graph
 from fdt.generators import gen_vc
-from fdt.model import ZEROONETWO, ValidationError, make_instance, support, verify_certificate
+from fdt.model import (ZEROONETWO, ValidationError, check_integer_feasible, make_instance,
+                       support, verify_certificate)
 
 HALF = Fraction(1, 2)
 
@@ -305,6 +306,19 @@ class TestZeroOneTwo:
         cert = fdt_tree(inst, [HALF + eps, HALF], mode="rational")
         ok, report = verify_certificate(cert, inst, tol=0)
         assert ok, report
+
+    def test_float_tree_a_hair_off_half_makes_no_gap_claim(self):
+        # the float tree reads the hair as 0 and floors a leaf to (0, 1),
+        # which misses the row by 1e-12; the exact integer check sees it and
+        # raises, where a 1e-9 check let the leaf reach dom_to_ip, whose
+        # failure claimed an unbounded gap on an instance with the point (1, 1)
+        eps = Fraction(1, 10**12)
+        inst = make_instance(2, [({0: 1, 1: 1}, 1 + eps)], kind=ZEROONETWO)
+        with pytest.raises(InvariantError, match="floored leaf is infeasible: row 0"):
+            fdt_tree(inst, [HALF + eps, HALF], mode="float")
+        assert fdt_tree(inst, [HALF + eps, HALF], mode="rational").factor == 2
+        ok, report = check_integer_feasible((0, 1), inst)
+        assert not ok and report[0].startswith("row 0 violated")
 
     def test_infeasible_floored_leaf_is_an_invariant_error(self):
         # (3/2, 3/2) floors to (1, 1), which misses the row: a leaf should

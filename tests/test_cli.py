@@ -153,8 +153,9 @@ class TestDomtoip:
         }))
         point = tmp_path / "p.json"
         write_point(point, [-1, 1, 1])
-        assert main(["domtoip", "--instance", str(inst_path),
-                     "--point", str(point), "--mode", mode]) == 1
+        rational = ["--rational"] if mode == "rational" else []
+        assert main(["domtoip", *rational, "--instance", str(inst_path),
+                     "--point", str(point)]) == 1
         captured = capsys.readouterr()
         assert "coordinate 0" in captured.err
         assert "Traceback" not in captured.err + captured.out

@@ -6,7 +6,7 @@ from fdt.generators import (CvGenerationError, canonical_matchings,
                             cv_support_graph, enumerate_cv, gen_cv, gen_tap,
                             gen_vc, perfect_matchings, read_pace_graph)
 from fdt.graphs import GraphError, make_graph
-from fdt.twoec import is_subtour_feasible
+from fdt.model import is_subtour_feasible
 
 
 class TestVc:

@@ -1,5 +1,9 @@
+import ast
 import json
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +177,7 @@ class TestFeasibility:
     def test_exact_row_check_at_tol_zero(self):
         tiny = Fraction(1, 10**10)
         inst = make_instance(1, [({0: tiny}, tiny)])
-        ok, report = check_integer_feasible((0,), inst, tol=0)
+        ok, report = check_integer_feasible((0,), inst)
         assert not ok and "row 0" in report[0]
         cert = Certificate(1, (1,), ((0,),), (1,))
         ok, report = verify_certificate(cert, inst, tol=0)
@@ -182,6 +186,12 @@ class TestFeasibility:
     def test_fractional_point_is_caller_error(self):
         with pytest.raises(ValidationError):
             check_integer_feasible([0.5, 1, 1], triangle_vc())
+
+    @pytest.mark.parametrize("v", [1 - 1e-12, math.nan, math.inf])
+    def test_no_tolerance_for_integrality(self, v):
+        # an integer point needs none: a float a hair off 1 is not integral
+        with pytest.raises(ValidationError, match="coordinate 0"):
+            check_integer_feasible([v, 1, 1], triangle_vc())
 
 
 class TestCertificate:
@@ -254,6 +264,25 @@ class TestCertificate:
         ok, report = verify_certificate(near, triangle_vc())
         assert ok, report
 
+    def test_nan_factor_and_weights_reported(self):
+        # NaN compares false, so these once passed every check
+        cert = Certificate(math.nan, (math.nan,) * 3, ((1, 1, 1),) * 3, (0.5,) * 3)
+        ok, report = verify_certificate(cert, triangle_vc())
+        assert not ok
+        assert "factor: nan is not a finite number" in report
+        assert [f"weights: weight {j} = nan is not a finite number" for j in range(3)] == [
+            line for line in report if line.startswith("weights: weight")]
+        assert "weights: sum is nan, expected 1" in report
+        assert sum(line.startswith("domination fails") for line in report) == 3
+
+    def test_infinite_factor_reported(self):
+        # inf * 0 is NaN: the bound at coordinate 2 is NaN, and 1 > NaN is false
+        cert = Certificate(math.inf, (1.0,), ((1, 1, 1),), (1.0, 1.0, 0.0))
+        ok, report = verify_certificate(cert, triangle_vc())
+        assert not ok
+        assert report == ["factor: inf is not a finite number",
+                          "domination fails at coordinate 2: 1 > min(C*x*, 1) = nan"]
+
     def test_domination_cap_allows_doubled_coordinates(self):
         # min(C x*, upper) is the bound: a coordinate at the variable cap is
         # fine even when C x* exceeds it (x* = 1/2 is in P: 2 x0 >= 1)
@@ -269,3 +298,23 @@ class TestCertificate:
         assert back.weights == cert.weights
         assert back.solutions == cert.solutions
         assert back.base_point == cert.base_point
+
+
+def test_verifier_imports_only_stdlib_and_graphs():
+    """The verifier (fdt.model) and its min cut (fdt.graphs) trust none of
+    the solvers' code: they import the standard library and fdt.graphs only."""
+    src = Path(__file__).parent.parent / "src" / "fdt"
+    for name in ("model.py", "graphs.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                modules = [f"fdt.{node.module}"] if node.module else [
+                    f"fdt.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert (module == "fdt.graphs"
+                        or module.split(".")[0] in sys.stdlib_module_names), (name, module)

@@ -1,14 +1,18 @@
 """Property tests: on random covering instances, binary and {0,1,2}, the
 tree's certificates verify, exactly in rational mode, also at points
 within float tolerances of a vertex, as do the rational 2EC tree's on
-K4 and K5; dom_to_ip's helper
+K4 and K5; on both problem types the verifier refuses each single
+mutation of a certificate with its report line; dom_to_ip's helper
 LP has the same optimum in closed form as by solving the LP; on random
 instances with rows of every sense, the checks that read an instance's
 RowMatrix agree with its Row dicts; on random bounded LPs the exact simplex
 agrees with HiGHS on the optimum and returns a basic solution."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +22,10 @@ from fdt.domtoip import _covering_helper, _helper_by_lp
 from fdt.experiments import _solve_relaxation
 from fdt.graphs import make_graph
 from fdt.model import (BINARY, ZEROONETWO, Certificate, check_integer_feasible, is_integral,
-                       make_instance, row_violations, verify_certificate)
+                       make_instance, row_violations, verify_certificate,
+                       verify_certificate_2ec)
 from fdt.simplex import solve_rational
-from fdt.twoec import SubtourPoint, fdt_2ec, verify_certificate_2ec
+from fdt.twoec import SubtourPoint, fdt_2ec
 
 E12 = Fraction(1, 10**12)  # far inside every float tolerance
 
@@ -100,6 +105,68 @@ def test_rational_2ec_certificates_verify_off_the_vertex_by_1e_12(n, data):
 
 
 @st.composite
+def certified_problems(draw, kind):
+    """(certificate, verify, infeasible point, its report line prefix): the
+    rational tree's certificate on a covering instance at a fractional
+    relaxation vertex, or on K4/K5 at 2/(n-1) per edge with edges raised by
+    k * 1e-12; verify(cert) runs that problem's verifier at tol=0.  The
+    infeasible point is a random integer point with one row's variables
+    (one vertex's edges) set to 0: covering rows have rhs >= 1, and a
+    vertex cut must be at least 2."""
+    if kind == "covering":
+        inst = draw(covering_instances())
+        _, x = _solve_relaxation(inst, "rational")
+        assume(not all(is_integral(v) for v in x))
+        z = draw(st.lists(st.integers(0, inst.var_upper), min_size=len(x), max_size=len(x)))
+        row = inst.rows[draw(st.integers(0, len(inst.rows) - 1))]
+        z = tuple(0 if i in row.coef else v for i, v in enumerate(z))
+        return (fdt_tree(inst, x, mode="rational"),
+                lambda cert: verify_certificate(cert, inst, tol=0), z, "infeasible: row ")
+    n = draw(st.sampled_from([4, 5]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    raised = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    graph = make_graph(n, edges)
+    point = SubtourPoint(graph, tuple(Fraction(2, n - 1) + k * E12 for k in raised))
+    z = draw(st.lists(st.integers(0, 2), min_size=len(edges), max_size=len(edges)))
+    cut = draw(st.integers(0, n - 1))
+    z = tuple(0 if cut in e else m for e, m in zip(edges, z))
+    return (fdt_2ec(point, mode="rational"),
+            lambda cert: verify_certificate_2ec(cert, graph, tol=0), z,
+            "is not 2-edge-connected")
+
+
+@pytest.mark.parametrize("kind", ["covering", "2ec"])
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(st.data())
+def test_verifier_refuses_each_single_mutation(kind, data):
+    """The tree's certificate verifies; raising one weight by delta, scaling
+    C below the tight ratio max_i (sum_j lambda_j z^j_i) / x*_i, replacing
+    one solution by an infeasible integer point, or making one weight NaN
+    is each refused with its report line."""
+    cert, verify, bad_point, infeasible = data.draw(certified_problems(kind))
+    ok, report = verify(cert)
+    assert ok, report
+    j = data.draw(st.integers(0, cert.k - 1))
+    delta = Fraction(1, 10 ** data.draw(st.integers(1, 12)))
+    comb = cert.combination()
+    tight = max(c / x for c, x in zip(comb, cert.base_point) if x)
+
+    def refused(line, **change):
+        ok, report = verify(replace(cert, **change))
+        assert not ok and any(r.startswith(line) for r in report), report
+
+    def with_weight(w):
+        return cert.weights[:j] + (w,) + cert.weights[j + 1:]
+
+    refused("weights: sum is ", weights=with_weight(cert.weights[j] + delta))
+    refused("domination fails at coordinate ", factor=tight * (1 - delta))
+    refused(f"solution {j} {infeasible}",
+            solutions=cert.solutions[:j] + (bad_point,) + cert.solutions[j + 1:])
+    refused(f"weights: weight {j} = nan is not a finite number", weights=with_weight(math.nan))
+
+
+@st.composite
 def helper_lp_draws(draw):
     """A covering instance with int or Fraction coefficients >= 0 and
     right-hand sides that may be zero or negative, and a helper LP on it:
@@ -163,7 +230,7 @@ def test_row_matrix_readers_match_row_dicts(draw):
     instance's RowMatrix; each agrees with evaluating inst.rows directly."""
     inst, z, x = draw
     assert inst.covering == all(c >= 0 for row in inst.rows for c in row.coef.values())
-    ok, _ = check_integer_feasible(z, inst, tol=0)
+    ok, _ = check_integer_feasible(z, inst)
     assert ok == all(row.value(z) >= row.rhs for row in inst.rows)
     missed = [(k, row.value(x), row.rhs) for k, row in enumerate(inst.rows)
               if row.value(x) < row.rhs]

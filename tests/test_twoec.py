@@ -7,10 +7,10 @@ import pytest
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
-from fdt.model import Certificate, Row, RowMatrix, ValidationError
-from fdt.twoec import (CutPool, SubtourPoint, branch_lpc_2ec, check_2ec, fdt_2ec,
-                       floor_round, is_subtour_feasible, point_from_dict,
-                       point_to_dict, separate_subtour, verify_certificate_2ec)
+from fdt.model import (Certificate, Row, RowMatrix, ValidationError, check_2ec,
+                       is_subtour_feasible, verify_certificate_2ec)
+from fdt.twoec import (CutPool, SubtourPoint, branch_lpc_2ec, fdt_2ec, floor_round,
+                       point_from_dict, point_to_dict, separate_subtour)
 
 
 def square():
@@ -84,6 +84,18 @@ class TestSeparation:
     def test_nan_coordinate_is_not_subtour_feasible(self):
         assert not is_subtour_feasible(SubtourPoint(square().graph,
                                                     (math.nan, 2.0, 2.0, 2.0)))
+
+    def test_verifier_reports_nan_weights(self):
+        # K4 at 2/3 per edge is three Hamiltonian cycles at 1/3 each; NaN
+        # weights once passed every check
+        k4 = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        cert = fdt_2ec(SubtourPoint(k4, (Fraction(2, 3),) * 6), mode="rational")
+        assert verify_certificate_2ec(cert, k4, tol=0)[0]
+        bad = Certificate(cert.factor, (math.nan,) * cert.k, cert.solutions, cert.base_point)
+        ok, report = verify_certificate_2ec(bad, k4, tol=0)
+        assert not ok
+        assert [f"weights: weight {j} = nan is not a finite number" for j in range(3)] == [
+            line for line in report if line.startswith("weights: weight")]
 
     def test_verifier_reports_nan_coordinate(self):
         # the min cut of a NaN-weighted graph is undefined: the box report
@@ -238,9 +250,9 @@ class TestFdt2ec:
             fdt_2ec(tri, mode=mode)
 
     def test_premise_checked_with_one_min_cut(self, monkeypatch):
-        from fdt import twoec
+        from fdt import model
         calls = []
-        monkeypatch.setattr(twoec, "global_min_cut",
+        monkeypatch.setattr(model, "global_min_cut",
                             lambda g, x: calls.append(tuple(x)) or global_min_cut(g, x))
         # integral, so the tree only settles: one cut for the premise, one
         # for the leaf's 2EC check
