@@ -15,13 +15,12 @@ from .generators import (CvGenerationError, CvInstance, TapInstance,
                          gen_vc, read_pace_graph)
 from .graphs import Graph, GraphError, global_min_cut, make_graph
 from .lp import LpError, LpOutcome, LpProblem, solve
-from .model import (BINARY, ZEROONETWO, Certificate, IpInstance, Row,
+from .model import (BINARY, ZEROONETWO, Certificate, IpInstance, Row, SubtourPoint,
                     ValidationError, check_2ec, check_integer_feasible,
-                    is_subtour_feasible, load_certificate, load_instance,
-                    make_instance, save_certificate, save_instance, support,
+                    is_subtour_feasible, load_certificate, load_instance, load_point,
+                    make_instance, save_certificate, save_instance, save_point, support,
                     verify_certificate, verify_certificate_2ec)
-from .twoec import (SubtourPoint, branch_lpc_2ec, fdt_2ec, load_point, save_point,
-                    separate_subtour)
+from .twoec import branch_lpc_2ec, fdt_2ec, separate_subtour
 
 __version__ = "0.1.0"
 

@@ -19,8 +19,9 @@ from itertools import accumulate, chain, compress, repeat
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, relaxation_lp
-from .model import (ZERO_TOL, Certificate, ValidationError, arithmetic, base_point,
-                    check_integer_feasible, is_integral, row_violations, support)
+from .model import (RATIONAL, ZERO_TOL, Certificate, ValidationError, arithmetic,
+                    base_point, check_integer_feasible, is_integral, num_str,
+                    row_violations, support)
 
 # float mode's tolerances; rational mode reads each as 0 (Arithmetic.tol)
 CHECK_TOL = 1e-6
@@ -210,25 +211,41 @@ def prune(nodes, x_star, supp=None, mode="float"):
 def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise.
-    x_star must lie in the relaxation P (see _base_point)."""
-    ar = arithmetic(mode)
-    x0 = _base_point(inst, x_star, ar)
-    supp = support(x0)
-    order = list(supp)
-    if branch_order == "random":
-        random.Random(0).shuffle(order)
-    elif isinstance(branch_order, (list, tuple)):
-        order = list(branch_order)
+    x_star must lie in the relaxation P (see _base_point).  Levels follow
+    branch_order, a sequence, or else the support of x*.  A float run that
+    breaks an invariant is retried once in rational mode."""
 
-    return _decompose(
-        x0, order, ar, trace,
-        settle=lambda x, coord: _settle(x, coord, ar),
-        branch=lambda x, depth: branch_lpc(inst, x, order[depth],
-                                           integral_prefix=order[:depth], mode=mode),
-        prune_level=lambda nodes: prune(nodes, x0, supp, mode=mode),
-        finish=lambda x: _leaf_solution(inst, x, mode),
-        name=inst.name,
-    )
+    def run(ar):
+        x0 = _base_point(inst, x_star, ar)
+        supp = support(x0)
+        order = supp if branch_order is None else list(branch_order)
+        return _decompose(
+            x0, order, ar, trace,
+            settle=lambda x, coord: _settle(x, coord, ar),
+            branch=lambda x, depth: branch_lpc(inst, x, order[depth],
+                                               integral_prefix=order[:depth], mode=ar.name),
+            prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
+            finish=lambda x: _leaf_solution(inst, x, ar.name),
+            name=inst.name,
+        )
+
+    return exact_on_failure(run, mode, trace)
+
+
+def exact_on_failure(run, mode, trace):
+    """run(ar) in mode's Arithmetic.  A float run that breaks an invariant runs
+    once more in rational mode, premise check included, after dropping the level
+    records it added to trace, so that trace describes the certificate."""
+    ar = arithmetic(mode)
+    mark = 0 if trace is None else len(trace)
+    try:
+        return run(ar)
+    except InvariantError:
+        if ar.exact:
+            raise
+        if trace is not None:
+            del trace[mark:]
+        return run(RATIONAL)
 
 
 def _base_point(inst, x_star, ar):
@@ -243,7 +260,7 @@ def _base_point(inst, x_star, ar):
         if lp.solve(relaxation_lp(inst), mode="rational").status == lp.INFEASIBLE:
             raise UnboundedGapOrInfeasible("the relaxation has no point")
         k, value, rhs = missed[0]
-        raise ValidationError(f"x*: violates row {k}: {float(value):.9g} < {float(rhs):.9g}")
+        raise ValidationError(f"x*: violates row {k}: {num_str(value)} < {num_str(rhs)}")
     return x
 
 

@@ -8,6 +8,7 @@ import argparse
 import json
 import logging
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -16,20 +17,19 @@ from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractio
 from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
                           run_tap_experiment, run_vc_experiment)
 from .generators import enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph
-from .graphs import make_graph
+from .graphs import graph_to_dict, make_graph
 from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
-                    instance_to_dict, is_integral, load_certificate,
-                    load_instance, save_instance, verify_certificate,
-                    verify_certificate_2ec)
-from .twoec import fdt_2ec, load_point, save_point
+                    instance_to_dict, is_integral, load_certificate, load_instance,
+                    load_point, point_to_dict, read_json, save_instance, save_point,
+                    support, verify_certificate, verify_certificate_2ec, write_json)
+from .twoec import fdt_2ec
 
 log = logging.getLogger("fdt")
 
 
 def _load_vector(path):
-    with open(path) as fh:
-        d = json.load(fh)
+    d = read_json(path)
     try:
         values = d["values"] if isinstance(d, dict) else d
         return [as_fraction(v) for v in values]
@@ -45,7 +45,7 @@ def cmd_domtoip(args):
     inst = load_instance(args.instance)
     x = _load_vector(args.point)
     push = dom_to_ip if all(is_integral(v) for v in x) else dom_to_ip_from_fractional
-    _emit({"values": push(inst, x, mode=_mode(args))}, args.out)
+    write_json({"values": push(inst, x, mode=_mode(args))}, args.out)
     return 0
 
 
@@ -55,23 +55,22 @@ def cmd_solve(args):
     mode = _mode(args)
     if args.mode == "dive":
         z = fdt_dive(inst, x, seed=args.seed, mode=mode)
-        _emit({"values": z}, args.out)
+        write_json({"values": z}, args.out)
     else:
-        order = "random" if args.random_order else None
+        order = None
+        if args.random_order:
+            order = support(x)
+            random.Random(args.seed).shuffle(order)
         cert = fdt_tree(inst, x, mode=mode, branch_order=order)
-        _emit(certificate_to_dict(cert, rational=mode == "rational"), args.out)
+        write_json(certificate_to_dict(cert), args.out)
         log.info("factor %.6g with %d solutions", float(cert.factor), cert.k)
     return 0
 
 
 def cmd_solve_2ec(args):
     point = load_point(args.point)
-    mode = _mode(args)
-    cert = fdt_2ec(point, mode=mode)
-    d = certificate_to_dict(cert, rational=mode == "rational")
-    d["graph"] = {"vertices": point.graph.num_vertices,
-                  "edges": [list(e) for e in point.graph.edges]}
-    _emit(d, args.out)
+    cert = fdt_2ec(point, mode=_mode(args))
+    write_json({**certificate_to_dict(cert), "graph": graph_to_dict(point.graph)}, args.out)
     log.info("factor %.6g with %d multigraphs", float(cert.factor), cert.k)
     return 0
 
@@ -102,29 +101,23 @@ def cmd_gen(args):
             n, p = args.n, args.p
             g = nx.gnp_random_graph(n, p, seed=args.seed)
             graph = make_graph(n, list(g.edges()), require_connected=False)
-        _emit_instance(gen_vc(graph), args)
+        write_json(instance_to_dict(gen_vc(graph), rational=args.rational), args.out)
     elif args.family == "tap":
         if args.count > 1 or len(args.levels) > 1:
             return _gen_tap_batch(args)
         _, inst = gen_tap(args.levels[0], seed=args.seed)
-        _emit_instance(inst, args)
+        write_json(instance_to_dict(inst, rational=args.rational), args.out)
     elif args.family == "cv":
         if args.enumerate:
-            out = []
-            for idx, cv in enumerate(enumerate_cv(args.cycle, seed=args.seed)):
+            cvs = enumerate_cv(args.cycle, seed=args.seed)
+            for idx, cv in enumerate(cvs):
                 path = f"{args.out or 'cv'}-{args.cycle}-{idx}.json"
                 save_point(cv.point, path, rational=args.rational)
-                out.append(path)
-            print(f"wrote {len(out)} points")
+            print(f"wrote {len(cvs)} points")
         else:
             matching = _parse_matching(args.matching)
             cv = gen_cv(args.cycle, matching, seed=args.seed)
-            if args.out:
-                save_point(cv.point, args.out, rational=args.rational)
-            else:
-                print(json.dumps({"vertices": cv.point.graph.num_vertices,
-                                  "edges": [list(e) for e in cv.point.graph.edges],
-                                  "x": [float(v) for v in cv.point.x]}, indent=1))
+            write_json(point_to_dict(cv.point, rational=args.rational), args.out)
     return 0
 
 
@@ -153,13 +146,6 @@ def _parse_matching(text):
         a, b = part.split("-")
         pairs.append((int(a), int(b)))
     return pairs
-
-
-def _emit_instance(inst, args):
-    if args.out:
-        save_instance(inst, args.out, rational=args.rational)
-    else:
-        print(json.dumps(instance_to_dict(inst, rational=False), indent=1))
 
 
 def cmd_bench_tap(args):
@@ -205,15 +191,6 @@ def _emit_report(report, args):
     if report.errors:
         log.warning("%d instances failed", len(report.errors))
     return 0
-
-
-def _emit(obj, out):
-    if out:
-        with open(out, "w") as fh:
-            json.dump(obj, fh, indent=1)
-            fh.write("\n")
-    else:
-        print(json.dumps(obj, indent=1))
 
 
 def _common(p, suppress):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from . import lp
 from .graphs import Graph, GraphError, make_graph
-from .model import BINARY, RowMatrix, make_instance
-from .twoec import SubtourPoint, separate_subtour
+from .model import BINARY, RowMatrix, SubtourPoint, make_instance
+from .twoec import separate_subtour
 
 FRACTIONAL_TOL = 1e-9
 CV_ATTEMPTS = 5  # seeded objectives gen_cv tries before it gives up

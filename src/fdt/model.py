@@ -1,4 +1,4 @@
-"""Instance and certificate data model, and the one verifier.
+"""Instances, 2EC points and certificates, their JSON files, and the one verifier.
 
 An instance is a constraint system ``A x >= b`` over binary or {0,1,2}
 variables, optionally with a nonnegative cost vector.  All coefficients are
@@ -14,11 +14,12 @@ premise x* in P, feasibility (integer points exactly) and the invariants.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graphs import global_min_cut
+from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
 
 ZERO_TOL = 1e-9
 SEP_TOL = 1e-7  # the subtour separator's tolerance in float mode
@@ -29,6 +30,33 @@ ZEROONETWO = "zeroonetwo"
 
 class ValidationError(ValueError):
     pass
+
+
+def read_json(path):
+    """The JSON document in the file at path; ValidationError names the
+    file and line where it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
+def write_json(obj, path=None):
+    """Write obj as indented JSON and a newline to the file at path, or to
+    stdout when path is empty."""
+    text = json.dumps(obj, indent=1) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def num_str(v):
+    """A number for a report: ints and Fractions exactly, floats to 9
+    significant digits."""
+    return f"{v:.9g}" if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)
@@ -249,18 +277,11 @@ def instance_from_dict(d):
 
 
 def load_instance(path):
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    return instance_from_dict(d)
+    return instance_from_dict(read_json(path))
 
 
 def save_instance(inst, path, rational=True):
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst, rational=rational), fh, indent=1)
-        fh.write("\n")
+    write_json(instance_to_dict(inst, rational=rational), path)
 
 
 def check_integer_feasible(z, inst):
@@ -278,7 +299,7 @@ def check_integer_feasible(z, inst):
     zi = [int(v) for v in z]
     report = [f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}"
               for i, v in enumerate(zi) if not 0 <= v <= inst.var_upper]
-    report.extend(f"row {k} violated: {float(value):g} < {float(rhs):g}"
+    report.extend(f"row {k} violated: {num_str(value)} < {num_str(rhs)}"
                   for k, value, rhs in row_violations(zi, inst.row_matrix, 0))
     return not report, report
 
@@ -330,7 +351,7 @@ def verify_certificate(cert, inst, tol=1e-6):
         return None if ok else f"infeasible: {sub[0]}"
 
     def violations(x):
-        return [f"base point violates row {k}: {float(value):.9g} < {float(rhs):.9g}"
+        return [f"base point violates row {k}: {num_str(value)} < {num_str(rhs)}"
                 for k, value, rhs in row_violations(x, inst.row_matrix, tol)]
 
     return _verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
@@ -376,7 +397,7 @@ def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
                   for j, w in enumerate(cert.weights) if not _finite(w))
     total = sum(cert.weights)
     if not abs(total - 1) <= tol:
-        report.append(f"weights: sum is {float(total):.9g}, expected 1")
+        report.append(f"weights: sum is {num_str(total)}, expected 1")
     if any(w < -tol for w in cert.weights):
         report.append("weights: negative weight")
 
@@ -392,7 +413,7 @@ def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
         if x == x and not comb[i] <= bound + tol:
             report.append(
                 f"domination fails at coordinate {i}: "
-                f"{float(comb[i]):.9g} > min(C*x*, {cap}) = {float(bound):.9g}"
+                f"{num_str(comb[i])} > min(C*x*, {cap}) = {num_str(bound)}"
             )
 
     t = len(support(cert.base_point))
@@ -404,7 +425,7 @@ def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
 def box_violations(x, cap, tol):
     """One message per coordinate of x that is not a number in [0, cap]
     to within tol (NaN included)."""
-    return [f"coordinate {i} = {float(v):.9g} outside [0, {cap}]"
+    return [f"coordinate {i} = {num_str(v)} outside [0, {cap}]"
             for i, v in enumerate(x) if not -tol <= v <= cap + tol]
 
 
@@ -418,7 +439,7 @@ def cut_violations(graph, x, tol):
     if value >= 2 - tol:
         return []
     return [f"base point violates the cut of vertices {sorted(side)}: "
-            f"{float(value):.9g} < 2"]
+            f"{num_str(value)} < 2"]
 
 
 def is_subtour_feasible(point, tol=SEP_TOL):
@@ -450,7 +471,10 @@ def _num_out(rational):
     return (lambda v: str(Fraction(v))) if rational else float
 
 
-def certificate_to_dict(cert, rational=True):
+def certificate_to_dict(cert):
+    """The certificate's JSON document: exact strings, and mode "rational",
+    exactly when its factor is a Fraction."""
+    rational = isinstance(cert.factor, Fraction)
     conv = _num_out(rational)
     return {
         "name": cert.name,
@@ -485,13 +509,42 @@ def certificate_from_dict(d):
         raise ValidationError(f"malformed certificate: {exc}") from exc
 
 
-def save_certificate(cert, path, rational=True):
-    with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert, rational=rational), fh, indent=1)
-        fh.write("\n")
+def save_certificate(cert, path):
+    write_json(certificate_to_dict(cert), path)
 
 
 def load_certificate(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    return certificate_from_dict(d)
+    return certificate_from_dict(read_json(path))
+
+
+@dataclass(frozen=True)
+class SubtourPoint:
+    """A 2EC point: one value per edge of graph."""
+
+    graph: Graph
+    x: tuple
+
+    def __post_init__(self):
+        if len(self.x) != self.graph.num_edges:
+            raise ValueError("edge value vector has wrong length")
+
+
+def point_to_dict(point, rational=False):
+    return {**graph_to_dict(point.graph), "x": list(map(_num_out(rational), point.x))}
+
+
+def point_from_dict(d):
+    try:
+        graph = make_graph(as_integer(d["vertices"]),
+                           [(as_integer(u), as_integer(v)) for u, v in d["edges"]])
+        return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed point: {exc}") from exc
+
+
+def load_point(path):
+    return point_from_dict(read_json(path))
+
+
+def save_point(point, path, rational=False):
+    write_json(point_to_dict(point, rational=rational), path)

@@ -5,36 +5,21 @@ in [0, 2]; the exponential cut family is handled lazily with a global
 minimum-cut separator.  Branching is three-way (edge multiplicity 0, 1, or
 2), and an extra constraint pins every edge already at value >= 1 so it can
 never fall back below 1 in a descendant.  Leaves are floored to integer
-multiplicities.
+multiplicities.  Points and their files are fdt.model's SubtourPoint.
 """
-
-import json
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lp
 from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
-                     floor_round, prune)
-from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
+                     exact_on_failure, floor_round, prune)
+from .graphs import global_min_cut
 # is_subtour_feasible and verify_certificate_2ec stay names here for perfbench/spans.py
-from .model import (RATIONAL, SEP_TOL, ZERO_TOL, RowMatrix, ValidationError,
-                    arithmetic, as_fraction, as_integer, base_point, check_2ec,
-                    cut_violations, is_integral, is_subtour_feasible, support,
-                    verify_certificate_2ec)
+from .model import (SEP_TOL, ZERO_TOL, RowMatrix, ValidationError, arithmetic,
+                    base_point, check_2ec, cut_violations, is_integral,
+                    is_subtour_feasible, support, verify_certificate_2ec)
 
 # float mode's separation tolerances, with model.SEP_TOL; rational mode reads each as 0
 SEP_LAMBDA_TOL = 1e-9
 MAX_SEPARATION_ROUNDS = 500
-
-
-@dataclass(frozen=True)
-class SubtourPoint:
-    graph: Graph
-    x: tuple
-
-    def __post_init__(self):
-        if len(self.x) != self.graph.num_edges:
-            raise ValueError("edge value vector has wrong length")
 
 
 def separate_subtour(graph, y, threshold, tol=SEP_TOL):
@@ -117,13 +102,7 @@ def fdt_2ec(point, mode="float", trace=None):
     tol=0), raises ValidationError.  A float run that breaks an invariant
     is retried once in rational mode, premise check included.
     """
-    ar = arithmetic(mode)
-    try:
-        return _fdt_2ec(point, ar, trace)
-    except InvariantError:
-        if ar.exact:
-            raise
-        return _fdt_2ec(point, RATIONAL, trace)
+    return exact_on_failure(lambda ar: _fdt_2ec(point, ar, trace), mode, trace)
 
 
 def _fdt_2ec(point, ar, trace):
@@ -154,29 +133,3 @@ def _fdt_2ec(point, ar, trace):
         prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
         finish=finish,
     )
-
-
-def point_to_dict(point, rational=False):
-    d = graph_to_dict(point.graph)
-    d["x"] = [str(Fraction(v)) if rational else float(v) for v in point.x]
-    return d
-
-
-def point_from_dict(d):
-    try:
-        graph = make_graph(as_integer(d["vertices"]),
-                           [(as_integer(u), as_integer(v)) for u, v in d["edges"]])
-        return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed point: {exc}") from exc
-
-
-def load_point(path):
-    with open(path) as fh:
-        return point_from_dict(json.load(fh))
-
-
-def save_point(point, path, rational=False):
-    with open(path, "w") as fh:
-        json.dump(point_to_dict(point, rational=rational), fh, indent=1)
-        fh.write("\n")

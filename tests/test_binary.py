@@ -127,8 +127,9 @@ class TestFdtTree:
         assert cert.factor == Fraction(4, 3)
 
     def test_branch_order_random_still_valid(self):
-        cert = fdt_tree(triangle(), [HALF] * 3, mode="rational",
-                        branch_order="random")
+        order = [0, 1, 2]
+        random.Random(1).shuffle(order)
+        cert = fdt_tree(triangle(), [HALF] * 3, mode="rational", branch_order=order)
         ok, report = verify_certificate(cert, triangle(), tol=0)
         assert ok, report
 
@@ -310,15 +311,21 @@ class TestZeroOneTwo:
     def test_float_tree_a_hair_off_half_makes_no_gap_claim(self):
         # the float tree reads the hair as 0 and floors a leaf to (0, 1),
         # which misses the row by 1e-12; the exact integer check sees it and
-        # raises, where a 1e-9 check let the leaf reach dom_to_ip, whose
-        # failure claimed an unbounded gap on an instance with the point (1, 1)
+        # the tree runs again in rational mode, where a 1e-9 check let the
+        # leaf reach dom_to_ip, whose failure claimed an unbounded gap on an
+        # instance with the point (1, 1)
         eps = Fraction(1, 10**12)
         inst = make_instance(2, [({0: 1, 1: 1}, 1 + eps)], kind=ZEROONETWO)
-        with pytest.raises(InvariantError, match="floored leaf is infeasible: row 0"):
-            fdt_tree(inst, [HALF + eps, HALF], mode="float")
-        assert fdt_tree(inst, [HALF + eps, HALF], mode="rational").factor == 2
+        trace = ["an earlier record"]
+        cert = fdt_tree(inst, [HALF + eps, HALF], mode="float", trace=trace)
+        assert cert.factor == 2 and isinstance(cert.factor, Fraction)
+        ok, report = verify_certificate(cert, inst, tol=0)
+        assert ok, report
+        # the failed float run's levels are dropped, the caller's record kept
+        assert [lv if isinstance(lv, str) else lv["level"] for lv in trace] == [
+            "an earlier record", 1, 2]
         ok, report = check_integer_feasible((0, 1), inst)
-        assert not ok and report[0].startswith("row 0 violated")
+        assert report == ["row 0 violated: 1 < 1000000000001/1000000000000"]
 
     def test_infeasible_floored_leaf_is_an_invariant_error(self):
         # (3/2, 3/2) floors to (1, 1), which misses the row: a leaf should

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from fdt import cli
 from fdt.cli import main
 from fdt.experiments import _solve_relaxation
 from fdt.model import load_certificate, load_instance
@@ -49,6 +51,21 @@ class TestGen:
                      "--matching", "0-3,1-5,2-6,4-7", "--out", str(out)]) == 0
         d = json.loads(out.read_text())
         assert d["vertices"] == 8 and len(d["edges"]) == 12
+
+    @pytest.mark.parametrize("family, exact", [
+        (["vc", "--n", "4", "--p", "1"], lambda d: d["rows"][0]["rhs"] == "1"),
+        (["cv", "--cycle", "8", "--matching", "0-3,1-5,2-6,4-7"],
+         lambda d: set(d["x"]) == {"1/2", "1"}),
+    ])
+    def test_rational_stdout_matches_the_file(self, tmp_path, capsys, family, exact):
+        # --rational without --out used to print floats
+        out = tmp_path / "out.json"
+        assert main(["gen", *family, "--rational", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["gen", *family, "--rational"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        assert exact(json.loads(printed))
 
 
     @pytest.mark.parametrize("command", [["gen", "vc"], ["bench-vc", "--count", "1"]])
@@ -223,7 +240,7 @@ class TestVerifyInput:
         assert main(["verify", "--certificate", str(cert_path),
                      "--instance", str(inst_path)]) == 2
         out = capsys.readouterr().out.splitlines()
-        assert "base point violates row 0: 0.2 < 1" in out
+        assert "base point violates row 0: 1/5 < 1" in out
         assert out[-1] == "INVALID"
 
     @pytest.mark.parametrize("mode", [["--rational"], []])
@@ -313,3 +330,24 @@ class TestBasePointOutsideBox:
         err = capsys.readouterr().err
         assert err.startswith("error: x*: base point violates the cut of vertices")
         assert err.count("\n") == 1
+
+
+def test_random_order_follows_seed(triangle_setup, tmp_path, monkeypatch):
+    # the order used to be shuffled with seed 0 whatever --seed said
+    inst_path, _ = triangle_setup
+    orders = []
+    tree = cli.fdt_tree
+
+    def spy(*args, branch_order=None, **kwargs):
+        orders.append(branch_order)
+        return tree(*args, branch_order=branch_order, **kwargs)
+
+    monkeypatch.setattr(cli, "fdt_tree", spy)
+    expected = []
+    for seed in range(4):
+        assert main(["solve", "--rational", "--random-order", "--seed", str(seed),
+                     "--instance", str(inst_path), "--point", str(tmp_path / "x.json")]) == 0
+        expected.append([0, 1, 2])
+        random.Random(seed).shuffle(expected[-1])
+    assert orders == expected
+    assert len({tuple(order) for order in orders}) > 1

@@ -13,8 +13,8 @@ from fdt.binary import ZERO_TOL, branch_lpc, prune
 from fdt.experiments import _solve_relaxation
 from fdt.generators import cv_support_graph, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import ZEROONETWO, Row, is_zero, make_instance
-from fdt.twoec import CutPool, SubtourPoint, branch_lpc_2ec, separate_subtour
+from fdt.model import ZEROONETWO, Row, SubtourPoint, is_zero, make_instance
+from fdt.twoec import CutPool, branch_lpc_2ec, separate_subtour
 
 
 def triangle_problem(maximize=False):

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -210,6 +211,15 @@ def test_corrupted_file_never_gives_a_traceback(valid_docs, data):
     if code == 1:
         assert_data_error(code, out, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, (_, files) in COMMANDS.items()
+                                        for _, kind in files])
+def test_file_that_is_not_json_is_named(valid_docs, name, kind):
+    # of a command's two files, the message must say which one is broken
+    code, out, err = run(valid_docs, name, kind, json.dumps(valid_docs[kind])[:-1])
+    assert_data_error(code, out, err)
+    assert re.match(rf"error: .*/{kind}\.json:1: ", err), err
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -248,8 +248,8 @@ class TestCertificate:
                           (Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2)))
         ok, report = verify_certificate(bad, triangle_vc(), tol=0)
         assert not ok
-        assert "base point: coordinate 0 = 1.5 outside [0, 1]" in report
-        assert "base point: coordinate 2 = -0.5 outside [0, 1]" in report
+        assert "base point: coordinate 0 = 3/2 outside [0, 1]" in report
+        assert "base point: coordinate 2 = -1/2 outside [0, 1]" in report
 
     def test_base_point_row_checked_exactly(self):
         # row 1 (x1 + x2 >= 1) falls short by 1e-12: outside P, inside the
@@ -260,9 +260,23 @@ class TestCertificate:
         ok, report = verify_certificate(near, triangle_vc(), tol=0)
         assert not ok
         assert [line for line in report if line.startswith("base point")] == [
-            "base point violates row 1: 1 < 1", "base point violates row 2: 1 < 1"]
+            "base point violates row 1: 999999999999/1000000000000 < 1",
+            "base point violates row 2: 999999999999/1000000000000 < 1"]
         ok, report = verify_certificate(near, triangle_vc())
         assert ok, report
+
+    def test_weight_sum_and_domination_reported_exactly(self):
+        # both miss by 1e-12, which nine significant digits print as "1" and
+        # "0.666666667 > ... = 0.666666667"
+        cert = self.make_cert()
+        eps = Fraction(1, 10**12)
+        heavy = Certificate(cert.factor, (cert.weights[0] + eps,) + cert.weights[1:],
+                            cert.solutions, cert.base_point)
+        ok, report = verify_certificate(heavy, triangle_vc(), tol=0)
+        assert report == [
+            "weights: sum is 1000000000001/1000000000000, expected 1",
+            *(f"domination fails at coordinate {i}: "
+              "2000000000003/3000000000000 > min(C*x*, 1) = 2/3" for i in (1, 2))]
 
     def test_nan_factor_and_weights_reported(self):
         # NaN compares false, so these once passed every check

@@ -21,11 +21,11 @@ from fdt.binary import fdt_tree
 from fdt.domtoip import _covering_helper, _helper_by_lp
 from fdt.experiments import _solve_relaxation
 from fdt.graphs import make_graph
-from fdt.model import (BINARY, ZEROONETWO, Certificate, check_integer_feasible, is_integral,
-                       make_instance, row_violations, verify_certificate,
-                       verify_certificate_2ec)
+from fdt.model import (BINARY, ZEROONETWO, Certificate, SubtourPoint,
+                       check_integer_feasible, is_integral, make_instance, num_str,
+                       row_violations, verify_certificate, verify_certificate_2ec)
 from fdt.simplex import solve_rational
-from fdt.twoec import SubtourPoint, fdt_2ec
+from fdt.twoec import fdt_2ec
 
 E12 = Fraction(1, 10**12)  # far inside every float tolerance
 
@@ -239,7 +239,7 @@ def test_row_matrix_readers_match_row_dicts(draw):
                        base_point=tuple(x))
     _, report = verify_certificate(cert, inst, tol=0)
     assert [line for line in report if line.startswith("base point violates")] == [
-        f"base point violates row {k}: {float(v):.9g} < {float(r):.9g}" for k, v, r in missed]
+        f"base point violates row {k}: {num_str(v)} < {num_str(r)}" for k, v, r in missed]
 
 
 @st.composite

@@ -7,10 +7,10 @@ import pytest
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
-from fdt.model import (Certificate, Row, RowMatrix, ValidationError, check_2ec,
-                       is_subtour_feasible, verify_certificate_2ec)
-from fdt.twoec import (CutPool, SubtourPoint, branch_lpc_2ec, fdt_2ec, floor_round,
-                       point_from_dict, point_to_dict, separate_subtour)
+from fdt.model import (Certificate, Row, RowMatrix, SubtourPoint, ValidationError,
+                       check_2ec, is_subtour_feasible, point_from_dict, point_to_dict,
+                       verify_certificate_2ec)
+from fdt.twoec import CutPool, branch_lpc_2ec, fdt_2ec, floor_round, separate_subtour
 
 
 def square():
