@@ -234,8 +234,8 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
 
 def exact_on_failure(run, mode, trace):
     """run(ar) in mode's Arithmetic.  A float run that breaks an invariant runs
-    once more in rational mode, premise check included, after dropping the level
-    records it added to trace, so that trace describes the certificate."""
+    once more in rational mode, premise check included, after dropping the
+    records it added to trace, so that trace describes the result."""
     ar = arithmetic(mode)
     mark = 0 if trace is None else len(trace)
     try:
@@ -319,23 +319,27 @@ def _decompose(x0, order, ar, trace, settle, branch, prune_level, finish, name="
 
 
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
-    """One random root-to-leaf walk of the tree; deterministic given seed."""
-    ar = arithmetic(mode)
-    y = _base_point(inst, x_star, ar)
-    rng = random.Random(seed)
-    order = support(y)
-    for depth, coord in enumerate(order):
-        settled = _settle(y, coord, ar)
-        if settled is not None:
-            y = settled
-            continue
-        br = branch_lpc(inst, y, coord, integral_prefix=order[:depth], mode=mode)
-        j = _pick(br.gammas, rng.random())
-        if trace is not None:
-            trace.append({"coordinate": coord, "p0": float(br.gammas[0] / br.total),
-                          "branch": j})
-        y = br.x_hats[j]
-    return _leaf_solution(inst, y, mode)
+    """One random root-to-leaf walk of the tree; deterministic given seed.  A
+    float walk that breaks an invariant walks again in rational mode."""
+
+    def run(ar):
+        y = _base_point(inst, x_star, ar)
+        rng = random.Random(seed)
+        order = support(y)
+        for depth, coord in enumerate(order):
+            settled = _settle(y, coord, ar)
+            if settled is not None:
+                y = settled
+                continue
+            br = branch_lpc(inst, y, coord, integral_prefix=order[:depth], mode=ar.name)
+            j = _pick(br.gammas, rng.random())
+            if trace is not None:
+                trace.append({"coordinate": coord, "p0": float(br.gammas[0] / br.total),
+                              "branch": j})
+            y = br.x_hats[j]
+        return _leaf_solution(inst, y, ar.name)
+
+    return exact_on_failure(run, mode, trace)
 
 
 def _pick(gammas, u):

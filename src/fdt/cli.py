@@ -16,7 +16,8 @@ from .binary import InvariantError, fdt_dive, fdt_tree
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractional
 from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
                           run_tap_experiment, run_vc_experiment)
-from .generators import enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph
+from .generators import (enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph,
+                         tap_batch_seed)
 from .graphs import graph_to_dict, make_graph
 from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
@@ -128,7 +129,7 @@ def _gen_tap_batch(args):
     for levels in args.levels:
         tap = None
         for rep in range(args.count):
-            tap, inst = gen_tap(levels, seed=args.seed * 10_000 + levels * 100 + rep)
+            tap, inst = gen_tap(levels, seed=tap_batch_seed(args.seed, levels, rep))
             save_instance(inst, f"{prefix}-l{levels}-r{rep}.json",
                           rational=args.rational)
         manifest.append((levels, tap.tree.num_edges, len(tap.links), args.count))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import lp
 from .binary import fdt_dive, fdt_tree
 from .domtoip import relaxation_lp
-from .generators import enumerate_cv, gen_tap, gen_vc
+from .generators import enumerate_cv, gen_tap, gen_vc, tap_batch_seed
 from .model import support, verify_certificate_2ec
 from .twoec import fdt_2ec
 
@@ -76,7 +76,7 @@ def run_tap_experiment(levels_range, instances_per_size, seed=0, mode="float"):
             rec = {"instance": iid, "levels": levels}
             t0 = time.perf_counter()
             try:
-                _, inst = gen_tap(levels, seed=seed * 10_000 + levels * 100 + rep)
+                _, inst = gen_tap(levels, seed=tap_batch_seed(seed, levels, rep))
                 lp_opt, x_star = _solve_relaxation(inst, mode)
                 cert = fdt_tree(inst, x_star, mode=mode)
                 best = min(float(inst.cost(z)) for z in cert.solutions)

@@ -59,6 +59,12 @@ class TapInstance:
     costs: tuple
 
 
+def tap_batch_seed(seed, levels, rep):
+    """gen_tap's seed for instance rep at levels in the TAP batch of seed, so
+    that ``fdt gen tap --count`` writes what run_tap_experiment certifies."""
+    return seed * 10_000 + levels * 100 + rep
+
+
 def gen_tap(levels, seed=0):
     """Full binary tree with `levels` edge-levels, one link per leaf pair,
     uniform random link costs.  Returns (TapInstance, covering IpInstance).

@@ -18,16 +18,13 @@ The binding is one extension module, ``scipy.optimize._highspy._core``.
 It is loaded from its file, without ``scipy.optimize``'s package import
 (0.4-0.6 s and 48 MB of peak RSS on a 2-vCPU host), and with its options
 and the shared solver, on the first float solve; a run that only solves
-exactly never loads it, nor numpy (0.09 s and 12 MB of peak RSS).  The
-module attributes ``highs``, ``_OPTIONS`` and ``_HIGHS`` load them when
-first read.
+exactly never loads it, nor numpy (0.09 s and 12 MB of peak RSS).
 """
 
 import importlib.machinery
 import importlib.util
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf, sqrt
 
@@ -99,7 +96,7 @@ class LpProblem:
         return _Rows(self)
 
 
-class _Rows(Sequence):
+class _Rows:
     """The rows of an LpProblem as (coef dict, sense, rhs) triples, sense
     one of "<=", ">=" and "=="."""
 
@@ -108,9 +105,6 @@ class _Rows(Sequence):
 
     def __len__(self):
         return len(self._problem._rhs)
-
-    def __getitem__(self, r):
-        return list(self)[r]
 
     def __iter__(self):
         start, index, value, sense, rhs = self._problem.csr()
@@ -225,9 +219,6 @@ def _solve_float(problem):
     return LpOutcome(OPTIMAL, solution=x.tolist(), objective=obj, mode="float")
 
 
-_LAZY = frozenset({"highs", "_OPTIONS", "_HIGHS", "_ROWWISE", "_MINIMIZE"})
-
-
 _BINDING = "scipy.optimize._highspy._core"
 
 
@@ -278,20 +269,11 @@ def _load_highs():
     _MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
-def __getattr__(name):
-    if name in _LAZY:
-        _load_highs()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def linprog(cost, lower, upper, row_lower, row_upper, start, index, value):
     """min cost.x  s.t.  row_lower <= A x <= row_upper, lower <= x <= upper,
-    with A row-wise as (start, index, value), by HiGHS dual simplex.
-    Returns (model status, x, A x); x and A x are None unless the status is
-    optimal.  The solver is shared, so this is not thread-safe."""
-    if "_HIGHS" not in globals():
-        _load_highs()
+    with A row-wise as (start, index, value), by HiGHS dual simplex, which
+    _solve_float loads.  Returns (model status, x, A x); x and A x are None
+    unless the status is optimal.  The solver is shared: not thread-safe."""
     num_col, num_row = len(cost), len(row_upper)
     # all columns continuous; the array overload refuses an empty array
     integrality = np.zeros(num_col, dtype=np.int32)

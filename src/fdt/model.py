@@ -34,12 +34,14 @@ class ValidationError(ValueError):
 
 def read_json(path):
     """The JSON document in the file at path; ValidationError names the
-    file and line where it is not JSON."""
-    with open(path) as fh:
+    file, and the line where it is not JSON, or why it is not UTF-8 text."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_json(obj, path=None):

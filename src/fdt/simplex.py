@@ -32,8 +32,9 @@ Bland's rule therefore reads the same signs and makes the same
 comparisons as a Fraction tableau would: from the same starting basis, the
 pivot sequence and vertex are those of a Fraction simplex.  A different
 start can end at a different optimal vertex of a degenerate LP, with the
-same optimal value.  Fractions appear only at the edges: reading the
-problem, and returning values and objective.
+same optimal value.  Fractions appear only at the edges: _Tableau builds
+its integer rows from the problem's CSR lists in one pass, and the values
+and objective are returned as Fractions.
 """
 
 from fractions import Fraction
@@ -47,69 +48,6 @@ LE, GE, EQ = 0, 1, 2
 
 class CyclingError(RuntimeError):
     """Iteration guard tripped; unreachable under Bland's rule."""
-
-
-def _to_equality_form(problem):
-    """The problem as integer rows over integer-bounded columns.
-
-    Structural column j is scaled by scale[j], the least common denominator
-    of its bounds; one slack column (scale 1) is appended per inequality
-    row, as the last of the row's columns.  Returns (rows, slacks, lo, hi,
-    cost, scale, ncol): rows[k] is (cols, nums, den), the row's scaled
-    nonzero coefficients nums[i] / den on the columns cols[i] and its
-    right-hand side nums[-1] / den; slacks[k] is (column, coefficient) for
-    row k's slack, the coefficient +1 on a <= row and -1 on a >= row, and
-    None on an equality row; lo and hi are scaled int bounds (hi None when
-    infinite); cost is (ints, denominator).  A row with two nonzero entries
-    on one column is a ValueError.
-    """
-    n = problem.num_cols
-    lo = [None if v is None else _rational(v) for v in problem.lower]
-    hi = [None if v is None or isinstance(v, float) and v == inf else _rational(v)
-          for v in problem.upper]
-    if any(v is None for v in lo):
-        raise ValueError("finite lower bounds required")
-    if any(h is not None and h < l for l, h in zip(lo, hi)):
-        raise ValueError("upper bound below lower bound")
-    scale = [l.denominator if h is None else lcm(l.denominator, h.denominator)
-             for l, h in zip(lo, hi)]
-    lo = [l.numerator * (s // l.denominator) for l, s in zip(lo, scale)]
-    hi = [None if h is None else h.numerator * (s // h.denominator)
-          for h, s in zip(hi, scale)]
-    try:
-        objective = [_rational(v) for v in problem.objective]
-    except (OverflowError, ValueError) as exc:  # Fraction of inf or NaN
-        raise ValueError("objective has a non-finite coefficient") from exc
-    sign = -1 if problem.maximize else 1
-    cost = [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)]
-
-    start, index, value, senses, rhs = problem.csr()
-    rows, slacks = [], []
-    ncol = n
-    for k, (a, b, sense, r) in enumerate(zip(start, start[1:], senses, rhs)):
-        cols, ratios = [], []
-        for i, v in zip(index[a:b], value[a:b]):
-            v = _rational(v)
-            if v:
-                cols.append(i)
-                ratios.append((v.numerator, v.denominator * scale[i]))
-        if len(set(cols)) < len(cols):
-            raise ValueError(f"row {k} has a repeated column")
-        if sense == EQ:
-            slacks.append(None)
-        else:
-            slacks.append((ncol, -1 if sense == GE else 1))
-            cols.append(ncol)
-            ratios.append((slacks[-1][1], 1))
-            lo.append(0)
-            hi.append(None)
-            cost.append((0, 1))
-            scale.append(1)
-            ncol += 1
-        r = _rational(r)
-        ratios.append((r.numerator, r.denominator))
-        rows.append((cols,) + _common_denominator(ratios))
-    return rows, slacks, lo, hi, _common_denominator(cost), scale, ncol
 
 
 def _rational(v):
@@ -127,11 +65,44 @@ def _common_denominator(ratios):
 
 
 class _Tableau:
-    def __init__(self, rows, slacks, lo, hi, ncol):
-        self.m = len(rows)
-        self.n = ncol
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, problem):
+        """The problem's integer tableau, read in one pass over its CSR lists.
+
+        Structural column j is scaled by scale[j], the least common
+        denominator of its bounds, and one slack column (scale 1) follows per
+        inequality row: +1 on a <= row, -1 on a >= row.  lo and hi are the
+        scaled int bounds (hi None when infinite), cost the scaled objective
+        as (ints, denominator).  A row with two nonzero entries on one column
+        is a ValueError.
+        """
+        lo = [None if v is None else _rational(v) for v in problem.lower]
+        hi = [None if v is None or isinstance(v, float) and v == inf else _rational(v)
+              for v in problem.upper]
+        if any(v is None for v in lo):
+            raise ValueError("finite lower bounds required")
+        if any(h is not None and h < l for l, h in zip(lo, hi)):
+            raise ValueError("upper bound below lower bound")
+        scale = [l.denominator if h is None else lcm(l.denominator, h.denominator)
+                 for l, h in zip(lo, hi)]
+        lo = [l.numerator * (s // l.denominator) for l, s in zip(lo, scale)]
+        hi = [None if h is None else h.numerator * (s // h.denominator)
+              for h, s in zip(hi, scale)]
+        try:
+            objective = [_rational(v) for v in problem.objective]
+        except (OverflowError, ValueError) as exc:  # Fraction of inf or NaN
+            raise ValueError("objective has a non-finite coefficient") from exc
+        sign = -1 if problem.maximize else 1
+        cost, cost_den = _common_denominator(
+            [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)])
+
+        start, index, value, senses, rhs = problem.csr()
+        slacks = len(senses) - senses.count(EQ)
+        self.m = len(rhs)
+        self.n = ncol = problem.num_cols + slacks
+        self.scale = scale + [1] * slacks
+        self.lo = lo = lo + [0] * slacks
+        self.hi = hi = hi + [None] * slacks
+        self.cost = cost + [0] * slacks, cost_den
         # columns that may enter the basis, in Bland order; fixed ones never do
         self.movable = [j for j in range(ncol) if lo[j] != hi[j]]
         # start: every nonbasic column at its lower bound.  A row whose
@@ -143,29 +114,43 @@ class _Tableau:
         self.N = []
         self.D = []
         self.basis = []
-        for k, ((cols, nums, den), slack) in enumerate(zip(rows, slacks)):
+        slack = problem.num_cols  # the next inequality row's slack column
+        for k, (a, b, sense, r) in enumerate(zip(start, start[1:], senses, rhs)):
+            cols, ratios = [], []
+            for i, v in zip(index[a:b], value[a:b]):
+                v = _rational(v)
+                if v:
+                    cols.append(i)
+                    ratios.append((v.numerator, v.denominator * scale[i]))
+            if len(set(cols)) < len(cols):
+                raise ValueError(f"row {k} has a repeated column")
+            r = _rational(r)
+            ratios.append((r.numerator, r.denominator))
+            # the slack's +-1 over 1 would change neither denominator nor gcd
+            nums, den = _common_denominator(ratios)
             r = nums[-1] - sum(v * lo[j] for j, v in zip(cols, nums))
-            if slack is not None and slack[1] * r >= 0:
-                sgn = slack[1]
-                self.basis.append(slack[0])
-            else:
-                sgn = 1 if r >= 0 else -1
-                self.basis.append(ncol + k)
+            sl = 0 if sense == EQ else -1 if sense == GE else 1  # slack coefficient
+            at_slack = sl and sl * r >= 0
+            sgn = sl if at_slack else 1 if r >= 0 else -1
+            self.basis.append(slack if at_slack else ncol + k)
             dense = [0] * (ncol + 1)
             for j, v in zip(cols, nums):
                 dense[j] = sgn * v
+            if sl:
+                dense[slack] = sgn * sl * den
+                slack += 1
             dense[ncol] = sgn * r
             self.N.append(dense)
             self.D.append(den)
         self.d = None  # reduced-cost row of the current phase, as (ints, den)
 
-    def values(self, count, scale):
+    def values(self, count):
         """The values of the first count columns, unscaled."""
-        out = [Fraction(self.hi[j] if j in self.at_upper else self.lo[j], scale[j])
+        out = [Fraction(self.hi[j] if j in self.at_upper else self.lo[j], self.scale[j])
                for j in range(count)]
         for i, j in enumerate(self.basis):
             if j < count:
-                out[j] = Fraction(self.N[i][self.n], self.D[i] * scale[j])
+                out[j] = Fraction(self.N[i][self.n], self.D[i] * self.scale[j])
         return out
 
     def _reduced_costs(self, cost, art_cost):
@@ -332,18 +317,17 @@ class _Tableau:
 def solve_rational(problem):
     """Exact two-phase simplex.  Returns (status, values, objective); values
     covers the problem's structural columns only."""
-    rows, slacks, lo, hi, cost, scale, ncol = _to_equality_form(problem)
-    tab = _Tableau(rows, slacks, lo, hi, ncol)
-
+    tab = _Tableau(problem)
+    ncol = tab.n
     tab.run(([0] * ncol, 1), art_cost=1)
     # artificials never go negative, so phase 1 reached 0 iff each one is 0
     if any(tab.N[i][ncol] for i in range(tab.m) if tab.basis[i] >= ncol):
         return "infeasible", None, None
     tab.drive_out_artificials()
 
-    status = tab.run(cost, art_cost=0)
+    status = tab.run(tab.cost, art_cost=0)
     if status == "unbounded":
         return "unbounded", None, None
 
-    x = tab.values(problem.num_cols, scale)
+    x = tab.values(problem.num_cols)
     return "optimal", x, sum(Fraction(ci) * v for ci, v in zip(problem.objective, x))

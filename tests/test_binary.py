@@ -327,6 +327,21 @@ class TestZeroOneTwo:
         ok, report = check_integer_feasible((0, 1), inst)
         assert report == ["row 0 violated: 1 < 1000000000001/1000000000000"]
 
+    def test_float_dive_a_hair_off_half_retries_exactly(self):
+        # the float dive floors the same infeasible leaf as the float tree
+        # and walks again in rational mode from the same seed, keeping only
+        # that walk's records
+        eps = Fraction(1, 10**12)
+        inst = make_instance(2, [({0: 1, 1: 1}, 1 + eps)], kind=ZEROONETWO)
+        x = [HALF + eps, HALF]
+        for seed in range(6):
+            exact = []
+            z = fdt_dive(inst, x, seed=seed, mode="rational", trace=exact)
+            assert sorted(z) in ([0, 2], [1, 1])
+            trace = ["an earlier record"]
+            assert fdt_dive(inst, x, seed=seed, mode="float", trace=trace) == z
+            assert trace == ["an earlier record", *exact]
+
     def test_infeasible_floored_leaf_is_an_invariant_error(self):
         # (3/2, 3/2) floors to (1, 1), which misses the row: a leaf should
         # never look like this, so no gap claim is made

@@ -675,6 +675,7 @@ class TestReusedSolver:
     depend on what that solver did before."""
 
     def test_sequence_matches_fresh_solver(self, monkeypatch):
+        lp.solve(triangle_problem(), mode="float")  # loads HiGHS
         infeasible = lp.LpProblem(num_cols=1, upper=[1])
         infeasible.add_row({0: 1}, ">=", 2)
         unbounded = lp.LpProblem(num_cols=1, objective=[1], maximize=True)

@@ -143,14 +143,15 @@ def deleted(doc, path):
 
 def run(docs, name, corrupt_kind, text):
     """Run command name with its valid files, the one of corrupt_kind
-    replaced by text."""
+    replaced by text (str, or bytes written as they are)."""
     argv, files = COMMANDS[name]
     argv = list(argv)
     with tempfile.TemporaryDirectory() as d:
         for flag, kind in files:
             path = os.path.join(d, f"{kind}.json")
-            with open(path, "w") as fh:
-                fh.write(text if kind == corrupt_kind else json.dumps(docs[kind]))
+            data = text if kind == corrupt_kind else json.dumps(docs[kind])
+            with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
             argv += [flag, path]
         return run_cli(argv)
 
@@ -220,6 +221,10 @@ def test_file_that_is_not_json_is_named(valid_docs, name, kind):
     code, out, err = run(valid_docs, name, kind, json.dumps(valid_docs[kind])[:-1])
     assert_data_error(code, out, err)
     assert re.match(rf"error: .*/{kind}\.json:1: ", err), err
+    # a byte-order mark of UTF-16 and "{}": not UTF-8, so not read as text
+    code, out, err = run(valid_docs, name, kind, b"\xff\xfe{}")
+    assert_data_error(code, out, err)
+    assert re.match(rf"error: .*/{kind}\.json: .*utf-8", err), err
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fdt import lp, simplex
-from fdt.simplex import _Tableau, _to_equality_form, solve_rational
+from fdt.simplex import _Tableau, solve_rational
 
 
 def prob(num_cols, rows, lower=None, upper=None, objective=None, maximize=False):
@@ -108,8 +108,8 @@ def start_basis(problem):
     """'slack' or 'artificial' per row: the variable the row starts with
     basic.  Also checks that the basic variable has coefficient 1 and a
     nonnegative starting value in every row."""
-    rows, slacks, lo, hi, _, _, ncol = _to_equality_form(problem)
-    tab = _Tableau(rows, slacks, lo, hi, ncol)
+    tab = _Tableau(problem)
+    ncol = tab.n
     for i, j in enumerate(tab.basis):
         assert tab.N[i][ncol] >= 0
         if j < ncol:
