@@ -127,12 +127,8 @@ def dom_to_ip(inst, x_tilde, mode="float"):
     for target in supp:
         out = helper_lp(inst, x, finalized, target, mode=mode)
         if out.status == lp.INFEASIBLE:
-            if not ar.exact:
-                # a misread zero optimum earlier can manufacture infeasibility;
-                # rule that out before declaring the gap unbounded
-                return dom_to_ip(inst, x_tilde, mode="rational")
-            raise UnboundedGapOrInfeasible(
-                "helper LP infeasible: input outside dom(P) or unbounded gap")
+            refusal = "helper LP infeasible: input outside dom(P) or unbounded gap"
+            break
         if out.status != lp.OPTIMAL:
             raise lp.LpError(f"unexpected helper LP status {out.status}")
         if abs(out.objective) <= ar.tol(lp.ZERO_OBJ_TOL):
@@ -141,14 +137,16 @@ def dom_to_ip(inst, x_tilde, mode="float"):
             # smallest integer the coordinate can reach, never above its cap
             x[target] = min(x[target], math.ceil(out.objective - ar.tol(ZERO_TOL)))
         finalized.append(target)
-    ok, report = check_integer_feasible(x, inst)
-    if not ok:
-        if not ar.exact:
-            return dom_to_ip(inst, x_tilde, mode="rational")
-        # with exact arithmetic this means the premises fail: the input does
-        # not dominate a finite-gap feasible region
-        raise UnboundedGapOrInfeasible(f"no dominated solution: {report[0]}")
-    return x
+    else:
+        ok, report = check_integer_feasible(x, inst)
+        if ok:
+            return x
+        refusal = f"no dominated solution: {report[0]}"
+    if ar.exact:  # the premises fail: input outside dom(P), or an unbounded gap
+        raise UnboundedGapOrInfeasible(refusal)
+    # a float misread (a zero optimum, a rounding) can manufacture either
+    # failure: rule that out, once, before declaring the gap unbounded
+    return dom_to_ip(inst, x_tilde, mode="rational")
 
 
 def dom_to_ip_from_fractional(inst, x, mode="float"):

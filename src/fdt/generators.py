@@ -151,28 +151,19 @@ def gen_cv(cycle_len, matching, path_lengths=None, seed=0):
     for attempt in range(CV_ATTEMPTS):
         rng = random.Random((seed, attempt, k, tuple(sorted(map(tuple, matching)))).__hash__())
         c = [rng.uniform(0.5, 1.5) for _ in cycle_idx]
-        y = _solve_cycle_lp(graph, cycle_idx, path_idx, c)
-        if y is None:
-            continue
-        if all(FRACTIONAL_TOL < v < 1 - FRACTIONAL_TOL for v in y):
-            x = [0.0] * graph.num_edges
-            for e, v in zip(cycle_idx, y):
-                x[e] = v
-            for e in path_idx:
-                x[e] = 1.0
-            point = SubtourPoint(graph, tuple(x))
-            viol = separate_subtour(graph, x, 2)
-            if viol is not None:
-                raise CvGenerationError(f"generated point violates cut {sorted(viol)}")
+        x = _solve_cycle_lp(graph, cycle_idx, path_idx, c)
+        if x is not None and all(FRACTIONAL_TOL < x[e] < 1 - FRACTIONAL_TOL for e in cycle_idx):
             return CvInstance(k, tuple(tuple(p) for p in matching),
-                              tuple(path_lengths or [1] * len(matching)), point)
+                              tuple(path_lengths or [1] * len(matching)),
+                              SubtourPoint(graph, tuple(x)))
     raise CvGenerationError("support admits no fractional extreme point "
                             f"(matching {sorted(map(tuple, matching))})")
 
 
 def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
     """Row-generated min over the cut system with path edges pinned at 1.
-    Returns cycle values, or None if no fractional vertex arises."""
+    Returns the point on every edge, which no subtour cut separates, or
+    None if no fractional vertex arises."""
     col = {e: i for i, e in enumerate(cycle_idx)}
     path_set = set(path_idx)
 
@@ -195,15 +186,14 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
         if out.status != lp.OPTIMAL:
             raise CvGenerationError(
                 f"cut system infeasible (last cut {sorted(cuts[-1])})")
-        y = out.solution
         full = [0.0] * graph.num_edges
-        for e, i in col.items():
-            full[e] = y[i]
+        for e, v in zip(cycle_idx, out.solution):
+            full[e] = v
         for e in path_idx:
             full[e] = 1.0
         side = separate_subtour(graph, full, 2)
         if side is None:
-            return y
+            return full
         if side in seen:
             return None  # separator stuck at tolerance boundary
         seen.add(side)

@@ -5,7 +5,9 @@ simplex (ours) and HiGHS dual simplex (float mode), called directly through
 the bindings scipy ships, with the model and options that
 ``scipy.optimize.linprog(method="highs-ds")`` would pass it.  Both return
 basic (vertex) optimal solutions; the pruning LP depends on that, so
-interior-point methods are deliberately not offered.
+interior-point methods are deliberately not offered.  solve is the one
+place a float solve hands over to the exact backend: a float solve with
+no checked optimum is solved once more, exactly.
 
 Problems keep their rows as CSR lists of Python numbers, so building and
 solving one exactly uses no numpy.  numpy loads with HiGHS, on the first
@@ -123,8 +125,9 @@ class LpOutcome:
 def solve(problem, mode):
     """Solve, returning a vertex optimum or a definite infeasible/unbounded.
 
-    mode is "rational" (exact) or "float"; float failures fall back to the
-    rational backend.  lower, upper and objective need one entry per column,
+    mode is "rational" (exact) or "float"; a float solve with no checked
+    optimum is solved once more, exactly, here and nowhere else, and says
+    mode "rational".  lower, upper and objective need one entry per column,
     every lower bound must be a finite number, and every upper bound a
     number, +inf or None (both unbounded), not NaN or -inf.  A row with
     two nonzero entries on one column is a ValueError in both modes (HiGHS
@@ -138,21 +141,13 @@ def solve(problem, mode):
         raise ValueError("lower bounds must be finite")
     if any(v is not None and (v != v or v == -inf) for v in problem.upper):
         raise ValueError("upper bounds must not be NaN or -inf")
-    if mode == "rational":
-        return _solve_rational(problem)
-    if mode == "float":
-        try:
-            return _solve_float(problem)
-        except LpError:
-            return _solve_rational(problem)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _solve_rational(problem):
-    status, x, obj = simplex.solve_rational(problem)
-    if status != OPTIMAL:
-        return LpOutcome(status, mode="rational")
-    return LpOutcome(OPTIMAL, solution=x, objective=obj, mode="rational")
+    if mode not in ("float", "rational"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "float" and (out := _solve_float(problem)) is not None:
+        return out
+    # dual simplex cannot always tell infeasible from unbounded, so a float
+    # failure of any kind is classified (rare, off the hot path) exactly
+    return LpOutcome(*simplex.solve_rational(problem), mode="rational")
 
 
 # linprog's test of a returned optimum: bounds, slacks and equality
@@ -166,7 +161,9 @@ def _solve_float(problem):
     lhs = rhs; zero entries dropped; the cost negated when maximising.  The
     matrix goes to HiGHS row-wise, each row's entries in their order; HiGHS
     transposes it into the column-wise matrix, row indices ascending, that
-    linprog passes."""
+    linprog passes.  Returns None for a refused model, for any status but
+    optimal (infeasible and unbounded too) and for an optimum outside
+    linprog's tolerances."""
     if "_HIGHS" not in globals():
         _load_highs()
     n = problem.num_cols
@@ -200,23 +197,18 @@ def _solve_float(problem):
     row_lower = np.where(eq[order], row_upper, -inf)  # HiGHS's kHighsInf is inf
     lower = np.fromiter(problem.lower, float, n)
     upper = np.fromiter((inf if v is None else v for v in problem.upper), float, n)
-    status, x, activity = linprog(c, lower, upper, row_lower, row_upper,
-                                  kept_before[row_start],
-                                  np.fromiter(index, np.int32, nnz)[entry[kept]], value[kept])
-    if status in (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnbounded):
-        # dual simplex cannot always tell infeasible from unbounded;
-        # let the exact backend classify the (rare, off-hot-path) failure
-        return _solve_rational(problem)
+    _, x, activity = linprog(c, lower, upper, row_lower, row_upper,
+                             kept_before[row_start],
+                             np.fromiter(index, np.int32, nnz)[entry[kept]], value[kept])
     if x is None:
-        raise LpError(f"float solve failed: HiGHS model status {status.name}")
+        return None
     slack = row_upper - activity
     m -= int(eq.sum())
     if (np.isnan(x).any() or np.isnan(slack).any()
             or (x < lower - _RESULT_TOL).any() or (x > upper + _RESULT_TOL).any()
             or (slack[:m] < -_RESULT_TOL).any() or (np.abs(slack[m:]) > _RESULT_TOL).any()):
-        raise LpError("float solve failed: optimum violates the constraints")
-    obj = float(np.dot(objective, x))
-    return LpOutcome(OPTIMAL, solution=x.tolist(), objective=obj, mode="float")
+        return None
+    return LpOutcome(OPTIMAL, x.tolist(), float(np.dot(objective, x)))
 
 
 _BINDING = "scipy.optimize._highspy._core"

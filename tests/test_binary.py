@@ -347,3 +347,54 @@ class TestZeroOneTwo:
         # never look like this, so no gap claim is made
         with pytest.raises(InvariantError):
             _leaf_solution(self.inst(), (Fraction(3, 2),) * 2, "rational")
+
+
+class TestLevelInvariants:
+    """_check_level on a valid level, then with one condition broken."""
+
+    LEVEL = dict(L=[((1, 0), HALF), ((0, 1), HALF)], x_star=(HALF, HALF), branched=[0, 1],
+                 t=2, old_total=1, new_total=1, tol=0)
+
+    def test_valid_level_passes(self):
+        binary._check_level(**self.LEVEL)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t": 1}, "level has 2 nodes, limit 1"),
+        ({"new_total": HALF}, "prune lost mass: 1.0 -> 0.5"),
+        ({"L": [((HALF, 0), 1)]}, r"coordinate 0 has value 0.5 in \(0, 1\)"),
+        ({"x_star": (HALF, Fraction(1, 4))}, "mass exceeds base point at 1: 0.5 > 0.25"),
+    ])
+    def test_each_broken_condition_raises(self, change, message):
+        with pytest.raises(InvariantError, match=message):
+            binary._check_level(**{**self.LEVEL, **change})
+
+
+class TestExactRetry:
+    """A float tree whose pruning breaks mass is built again exactly; the
+    same break in rational mode is an error, not a second retry."""
+
+    def break_prune(self, monkeypatch, broken_mode):
+        real = binary.prune
+        broken = []
+
+        def prune(nodes, x_star, supp=None, mode="float"):
+            kept, old_total, new_total = real(nodes, x_star, supp, mode=mode)
+            if mode != broken_mode:
+                return kept, old_total, new_total
+            broken.append(mode)
+            kept = [(x, w / 2) for x, w in kept]
+            return kept, old_total, sum(w for _, w in kept)
+        monkeypatch.setattr(binary, "prune", prune)
+        return broken
+
+    def test_float_tree_returns_the_rational_certificate(self, monkeypatch):
+        exact = fdt_tree(triangle(), [HALF] * 3, mode="rational")
+        broken = self.break_prune(monkeypatch, "float")
+        assert fdt_tree(triangle(), [0.5] * 3, mode="float") == exact
+        assert broken == ["float"]
+
+    def test_rational_tree_raises(self, monkeypatch):
+        broken = self.break_prune(monkeypatch, "rational")
+        with pytest.raises(InvariantError, match="prune lost mass"):
+            fdt_tree(triangle(), [HALF] * 3, mode="rational")
+        assert broken == ["rational"]

@@ -7,7 +7,8 @@ import pytest
 from fdt import cli
 from fdt.cli import main
 from fdt.experiments import _solve_relaxation
-from fdt.model import load_certificate, load_instance
+from fdt.generators import enumerate_cv
+from fdt.model import load_certificate, load_instance, load_point
 
 
 def write_point(path, values):
@@ -25,6 +26,14 @@ def tap_setup(tmp_path):
     point_path = tmp_path / "x.json"
     write_point(point_path, x)
     return inst_path, point_path
+
+
+@pytest.fixture
+def pace_square(tmp_path):
+    """A 4-cycle in the PACE edge-list format, 1-based."""
+    path = tmp_path / "square.gr"
+    path.write_text("c a 4-cycle\np td 4 4\n1 2\n2 3\n3 4\n4 1\n")
+    return path
 
 
 class TestGen:
@@ -51,6 +60,21 @@ class TestGen:
                      "--matching", "0-3,1-5,2-6,4-7", "--out", str(out)]) == 0
         d = json.loads(out.read_text())
         assert d["vertices"] == 8 and len(d["edges"]) == 12
+
+    def test_vc_from_pace_file(self, tmp_path, pace_square):
+        out = tmp_path / "vc.json"
+        assert main(["gen", "vc", "--pace", str(pace_square), "--out", str(out)]) == 0
+        inst = load_instance(out)
+        assert inst.num_vars == 4
+        assert sorted(sorted(row.coef) for row in inst.rows) == [[0, 1], [0, 3], [1, 2], [2, 3]]
+
+    def test_cv_enumerate_writes_every_class(self, tmp_path, capsys):
+        prefix = str(tmp_path / "e")
+        assert main(["gen", "cv", "--cycle", "8", "--enumerate", "--out", prefix]) == 0
+        assert capsys.readouterr().out == "wrote 3 points\n"
+        points = [load_point(f"{prefix}-8-{idx}.json") for idx in range(3)]
+        assert points == [cv.point for cv in enumerate_cv(8)]
+        assert not (tmp_path / "e-8-3.json").exists()
 
     @pytest.mark.parametrize("family, exact", [
         (["vc", "--n", "4", "--p", "1"], lambda d: d["rows"][0]["rhs"] == "1"),
@@ -187,6 +211,24 @@ class TestBench:
         assert csv_text.splitlines()[0].startswith("instance,")
         agg = json.loads((tmp_path / "rep.json").read_text())
         assert agg["count"] == 2
+
+    def test_bench_cv_prints_csv_without_out(self, capsys):
+        assert main(["bench-cv", "--k", "8"]) == 0
+        out = capsys.readouterr().out
+        csv_text, histogram = out[:out.index("{")], out[out.index("{"):]
+        lines = csv_text.splitlines()
+        assert lines[0].startswith("instance,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["cv-k8-0", "cv-k8-1", "cv-k8-2"]
+        assert sum(json.loads(histogram).values()) == 3
+
+    def test_bench_vc_reads_pace_files_and_draws(self, tmp_path, capsys, pace_square):
+        prefix = str(tmp_path / "rep")
+        assert main(["bench-vc", "--pace", str(pace_square), "--n", "5", "--p", "0.5",
+                     "--count", "2", "--seed", "1", "--out", prefix]) == 0
+        rows = (tmp_path / "rep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["square.gr", "gnp-5-0", "gnp-5-1"]
+        agg = json.loads((tmp_path / "rep.json").read_text())
+        assert (agg["count"], agg["errors"]) == (3, 0)
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["solve", "--instance", "/nonexistent.json",

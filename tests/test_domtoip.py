@@ -97,6 +97,25 @@ class TestDomToIp:
         with pytest.raises(UnboundedGapOrInfeasible):
             dom_to_ip(inst, [1, 1], mode="rational")
 
+    @pytest.mark.parametrize("inst, x_tilde, message", [
+        (triangle_vc(), [0, 0, 0], r"^no dominated solution: row 0 violated: 0 < 1$"),
+        (make_instance(2, [({0: 1, 1: -1}, 1)]), [0, 1],
+         r"^helper LP infeasible: input outside dom\(P\) or unbounded gap$"),
+    ])
+    def test_float_refusal_restarts_once_in_rational_mode(self, monkeypatch, inst, x_tilde,
+                                                          message):
+        # both refusals reach the one restart; only the exact run raises
+        modes = []
+        real = domtoip.dom_to_ip
+
+        def spy(inst, x_tilde, mode="float"):
+            modes.append(mode)
+            return real(inst, x_tilde, mode=mode)
+        monkeypatch.setattr(domtoip, "dom_to_ip", spy)
+        with pytest.raises(UnboundedGapOrInfeasible, match=message):
+            domtoip.dom_to_ip(inst, x_tilde, mode="float")
+        assert modes == ["float", "rational"]
+
     def test_fractional_input_is_caller_error(self):
         with pytest.raises(ValueError):
             dom_to_ip(triangle_vc(), [0.5, 1, 1])

@@ -86,7 +86,7 @@ class TestInputChecks:
         def backend(problem):
             raise AssertionError("a backend ran")
         monkeypatch.setattr(lp, "_solve_float", backend)
-        monkeypatch.setattr(lp, "_solve_rational", backend)
+        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
         p = lp.LpProblem(num_cols=1, lower=[bound], upper=[1], objective=[1])
         p.add_row({0: 1}, ">=", -5)
         with pytest.raises(ValueError, match="lower bounds must be finite"):
@@ -100,7 +100,7 @@ class TestInputChecks:
         def backend(problem):
             raise AssertionError("a backend ran")
         monkeypatch.setattr(lp, "_solve_float", backend)
-        monkeypatch.setattr(lp, "_solve_rational", backend)
+        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
         p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])
         p.add_row({0: 1}, ">=", Fraction(1, 2))
         with pytest.raises(ValueError, match="upper bounds must not be NaN or -inf"):
@@ -574,6 +574,23 @@ class TestHighsMatchesLinprog:
             lp.highs.HighsModelStatus.kIterationLimit, None, None))
         out = lp.solve(triangle_problem(), mode="float")
         assert (out.mode, out.objective) == ("rational", Fraction(3, 2))
+
+    @pytest.mark.parametrize("answer", ["kInfeasible", "kUnbounded", "kModelError",
+                                        "optimum outside tolerance"])
+    def test_every_failure_solves_exactly_once(self, monkeypatch, answer):
+        # each HiGHS failure reaches the exact backend by one route, once
+        def highs_answer(*args):
+            status = lp.highs.HighsModelStatus
+            if answer == "optimum outside tolerance":
+                return status.kOptimal, np.zeros(3), np.zeros(3)
+            return getattr(status, answer), None, None
+        calls = []
+        exact = simplex.solve_rational
+        monkeypatch.setattr(lp, "linprog", highs_answer)
+        monkeypatch.setattr(lp.simplex, "solve_rational",
+                            lambda problem: calls.append(problem) or exact(problem))
+        out = lp.solve(triangle_problem(), mode="float")
+        assert (out.mode, out.objective, len(calls)) == ("rational", Fraction(3, 2), 1)
 
 
 def colwise_highs(problem):
