@@ -21,7 +21,7 @@ from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, relaxation_lp
 from .model import (RATIONAL, ZERO_TOL, Certificate, ValidationError, arithmetic,
                     base_point, check_integer_feasible, is_integral, num_str,
-                    row_violations, support)
+                    row_violations, solution_limit, support)
 
 # float mode's tolerances; rational mode reads each as 0 (Arithmetic.tol)
 CHECK_TOL = 1e-6
@@ -54,15 +54,17 @@ def branch_lpc(inst, x_prime, ell, integral_prefix=(), mode="float"):
     ar = arithmetic(mode)
     binary = inst.var_upper == 1
     fixed = {} if binary else {i: x_prime[i] for i in integral_prefix}
-    out, active = _branching_lp(x_prime, ell, inst.var_upper, inst.row_matrix, (),
-                                fixed, ar)
-    return _split(out, x_prime, active, inst.var_upper, ar,
+    gammas, copies, active = _branching_lp(x_prime, ell, inst.var_upper,
+                                           inst.row_matrix, (), fixed, ar)
+    return _split(gammas, copies, active, x_prime, inst.var_upper, ar,
                   prefix=integral_prefix if binary else ())
 
 
 def _branching_lp(x, ell, cap, rows, pinned, fixed, ar):
-    """Build and solve the branching LP of node x on coordinate ell;
-    returns (outcome, active coordinates).
+    """Build and solve the branching LP of node x on coordinate ell; returns
+    (gammas, copies, active): the multipliers lambda_0..lambda_cap, each 0
+    unless above GAMMA_TOL, the unscaled copies x^0..x^cap, each with one
+    value per active coordinate, and the active coordinates of x (> ZERO_TOL).
 
     One copy x^j of the active coordinates per value j = 0..cap, each with a
     multiplier lambda_j: x^j satisfies every covering row of rows (a
@@ -145,29 +147,27 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, ar):
     out = lp.solve(prob, mode=ar.name)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"branching LP unexpectedly {out.status}")
-    return out, active
+    sol, tol = out.solution, ar.tol(GAMMA_TOL)
+    gammas = tuple(g if g > tol else 0 for g in sol[lam:])
+    return gammas, tuple(sol[j * a:(j + 1) * a] for j in range(arity)), active
 
 
-def _split(out, x, active, cap, ar, prefix=()):
-    """The BranchResult of a solved branching LP: each copy rescaled by its
-    multiplier (float values clamped to [0, cap]), the prefix rounded up to 0/1."""
+def _split(gammas, copies, active, x, cap, ar, prefix=()):
+    """The BranchResult of node x from _branching_lp's gammas, copies and
+    active coordinates: each copy with a nonzero multiplier rescaled by it
+    (float values clamped to [0, cap]), the prefix rounded up to 0/1."""
     zero, one, top = ar.number(0), ar.number(1), ar.number(cap)
-    tol = ar.tol(GAMMA_TOL)
-    a = len(active)
-    sol = out.solution
-    gammas = tuple(g if g > tol else 0 for g in sol[(cap + 1) * a:])
-    if sum(gammas) <= tol:
+    if sum(gammas) <= ar.tol(GAMMA_TOL):
         raise UnboundedGapOrInfeasible(
             "branching LP optimum is 0: point outside dom(P) or unbounded gap")
     x_hats = []
-    for j, gamma in enumerate(gammas):
+    for gamma, copy in zip(gammas, copies):
         if not gamma:
             x_hats.append(None)
             continue
         xh = [zero] * len(x)
-        for k, i in enumerate(active):
-            v = sol[j * a + k] / gamma
-            xh[i] = v if ar.exact else min(max(v, zero), top)
+        for i, v in zip(active, copy):
+            xh[i] = v / gamma if ar.exact else min(max(v / gamma, zero), top)
         for i in prefix:
             xh[i] = zero if xh[i] <= ar.tol(ZERO_TOL) else one
         x_hats.append(tuple(xh))
@@ -212,13 +212,15 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise.
     x_star must lie in the relaxation P (see _base_point).  Levels follow
-    branch_order, a sequence, or else the support of x*.  A float run that
-    breaks an invariant is retried once in rational mode."""
+    the coordinates of branch_order, a sequence, that are in spp(x*), or
+    else spp(x*) in index order: a zero coordinate splits no node.  A float
+    run that breaks an invariant is retried once in rational mode."""
 
     def run(ar):
         x0 = _base_point(inst, x_star, ar)
         supp = support(x0)
-        order = supp if branch_order is None else list(branch_order)
+        order = (supp if branch_order is None
+                 else list(filter(set(supp).__contains__, branch_order)))
         return _decompose(
             x0, order, ar, trace,
             settle=lambda x, coord: _settle(x, coord, ar),
@@ -272,7 +274,7 @@ def _decompose(x0, order, ar, trace, settle, branch, prune_level, finish, name="
     weighted children; prune_level(nodes) trims the level, which is then checked
     and traced.  finish(x) turns each leaf into a feasible solution.
     """
-    t = len(support(x0))
+    t = solution_limit(x0)
     L = [(x0, ar.number(1))]
     pruned_points = None  # the node points of the last pruning LP
     for depth, coord in enumerate(order):

@@ -21,6 +21,8 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise GraphError(f"vertex count {self.num_vertices} is negative")
         for k, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise GraphError(f"edge {k} endpoint outside [0, {self.num_vertices})")

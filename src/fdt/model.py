@@ -124,6 +124,13 @@ def support(x, tol=ZERO_TOL):
     return [i for i, v in enumerate(x) if not is_zero(v, tol)]
 
 
+def solution_limit(x):
+    """The most solutions a certificate with base point x may hold,
+    max(1, |spp(x)|): a vertex of the pruning LP keeps at most |spp(x)|
+    nodes, and a certificate holds one solution even at x = 0."""
+    return max(1, len(support(x)))
+
+
 @dataclass(frozen=True)
 class Row:
     """A sparse constraint  sum_i coef[i] * x_i >= rhs."""
@@ -178,6 +185,8 @@ class IpInstance:
     name: str = ""
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValidationError(f"num_vars {self.num_vars} is negative")
         if self.kind not in (BINARY, ZEROONETWO):
             raise ValidationError(f"unknown variable kind {self.kind!r}")
         for k, row in enumerate(self.rows):
@@ -381,7 +390,7 @@ def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
     it breaks (none, when x* is in P), the factor and weights are finite,
     weights are nonnegative and sum to 1, no solution is infeasible
     (infeasibility(z) names the problem, or returns None), the combination
-    is dominated by min(C * x*, cap), and k <= |spp(x*)|.  The sum and
+    is dominated by min(C * x*, cap), and k <= max(1, |spp(x*)|).  The sum and
     domination tests fail on NaN.  Returns (ok, report); raises
     ValidationError unless every vector has length n and there is one
     weight per solution."""
@@ -418,9 +427,10 @@ def _verify_solutions(cert, n, cap, infeasibility, violations, tol):
                 f"{num_str(comb[i])} > min(C*x*, {cap}) = {num_str(bound)}"
             )
 
-    t = len(support(cert.base_point))
-    if cert.k > t:
-        report.append(f"too many solutions: k = {cert.k} > |spp(x*)| = {t}")
+    if cert.k > solution_limit(cert.base_point):
+        t = len(support(cert.base_point))
+        bound = f"|spp(x*)| = {t}" if t else "1, as x* = 0"
+        report.append(f"too many solutions: k = {cert.k} > {bound}")
     return not report, report
 
 
@@ -537,11 +547,19 @@ def point_to_dict(point, rational=False):
 
 def point_from_dict(d):
     try:
-        graph = make_graph(as_integer(d["vertices"]),
-                           [(as_integer(u), as_integer(v)) for u, v in d["edges"]])
+        graph = make_graph(as_integer(d["vertices"]), list(map(_endpoints, d["edges"])))
         return SubtourPoint(graph, tuple(as_fraction(v) for v in d["x"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed point: {exc}") from exc
+
+
+def _endpoints(edge):
+    """An edge's two endpoints as ints; ValidationError unless it is a pair."""
+    try:
+        u, v = edge
+    except ValueError as exc:
+        raise ValidationError(f"malformed point: edge {edge!r} is not a pair") from exc
+    return as_integer(u), as_integer(v)
 
 
 def load_point(path):

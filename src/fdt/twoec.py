@@ -17,8 +17,6 @@ from .model import (SEP_TOL, ZERO_TOL, RowMatrix, ValidationError, arithmetic,
                     base_point, check_2ec, cut_violations, is_integral,
                     is_subtour_feasible, support, verify_certificate_2ec)
 
-# float mode's separation tolerances, with model.SEP_TOL; rational mode reads each as 0
-SEP_LAMBDA_TOL = 1e-9
 MAX_SEPARATION_ROUNDS = 500
 
 
@@ -62,34 +60,35 @@ def branch_lpc_2ec(graph, x_node, e_idx, cut_pool=None, mode="float"):
 
     The branching LP is the binary tree's with cap 2, solved by row
     generation: the rows of cut_pool (a CutPool of graph; degree cuts plus
-    any previously found cuts) seed it, then violated cuts from the
-    separator are added until each scaled copy is certified feasible.  Edges
-    already at value >= 1 are pinned there.  cut_pool, when given, is shared
-    and extended in place so later branches start warm.  In rational mode
-    the pinned test and the separation are exact.
+    any previously found cuts) seed it, then cuts below 2 * gamma in each
+    copy with a nonzero multiplier gamma, the branches _split keeps, are
+    added until there are none.  Edges already at value >= 1 are pinned
+    there.  cut_pool, when given, is shared and extended in place so later
+    branches start warm.  In rational mode the pinned test and the
+    separation are exact.
     """
     ar = arithmetic(mode)
     if cut_pool is None:
         cut_pool = CutPool(graph)
     pinned = [e for e, v in enumerate(x_node) if v >= 1 - ar.tol(ZERO_TOL)]
     for _ in range(MAX_SEPARATION_ROUNDS):
-        out, active = _branching_lp(x_node, e_idx, 2, cut_pool.rows, pinned, {}, ar)
+        gammas, copies, active = _branching_lp(x_node, e_idx, 2, cut_pool.rows,
+                                               pinned, {}, ar)
         added = False
-        for j in range(3):
-            lj = out.solution[3 * len(active) + j]
-            if lj <= ar.tol(SEP_LAMBDA_TOL):
+        for gamma, copy in zip(gammas, copies):
+            if not gamma:
                 continue
             y = [0] * graph.num_edges
-            for k, e in enumerate(active):
-                y[e] = out.solution[j * len(active) + k]
-            side = separate_subtour(graph, y, 2 * lj, ar.tol(SEP_TOL))
+            for e, v in zip(active, copy):
+                y[e] = v
+            side = separate_subtour(graph, y, 2 * gamma, ar.tol(SEP_TOL))
             if side is not None and cut_pool.add(side):
                 added = True
         if not added:
             break
     else:
         raise lp.LpError("separation did not converge")
-    return _split(out, x_node, active, 2, ar)
+    return _split(gammas, copies, active, x_node, 2, ar)
 
 
 def fdt_2ec(point, mode="float", trace=None):

@@ -126,6 +126,28 @@ class TestFdtTree:
                         branch_order=[2, 0, 1])
         assert cert.factor == Fraction(4, 3)
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("order", [None, [0, 1], [1, 0]])
+    def test_zero_point_certifies_one_solution(self, mode, order):
+        # every certificate holds a solution, so x* = 0 allows k = 1; a
+        # level on a zero coordinate used to prune with no rows (unbounded)
+        inst = make_instance(2, [({0: 1}, 0)])
+        cert = fdt_tree(inst, [0, 0], mode=mode, branch_order=order)
+        assert (cert.k, cert.solutions, cert.factor) == (1, ((0, 0),), 1)
+        assert verify_certificate(cert, inst, tol=0) == (True, [])
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_branch_order_skips_zero_coordinates(self, mode):
+        inst = gen_vc(make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+        x = [HALF, HALF, 1, 0]
+        runs = []
+        for order in ([0, 1, 2], [3, 0, 1, 2, 3]):
+            trace = []
+            runs.append((fdt_tree(inst, x, mode=mode, branch_order=order, trace=trace),
+                         [lv["coordinate"] for lv in trace]))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [0, 1, 2]
+
     def test_branch_order_random_still_valid(self):
         order = [0, 1, 2]
         random.Random(1).shuffle(order)

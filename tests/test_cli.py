@@ -68,6 +68,13 @@ class TestGen:
         assert inst.num_vars == 4
         assert sorted(sorted(row.coef) for row in inst.rows) == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
+    def test_negative_pace_vertex_count_named(self, tmp_path, capsys):
+        path = tmp_path / "negative.gr"
+        path.write_text("p td -2 0\n")
+        out = tmp_path / "vc.json"
+        assert main(["gen", "vc", "--pace", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: vertex count -2 is negative\n"
+
     def test_cv_enumerate_writes_every_class(self, tmp_path, capsys):
         prefix = str(tmp_path / "e")
         assert main(["gen", "cv", "--cycle", "8", "--enumerate", "--out", prefix]) == 0
@@ -150,6 +157,22 @@ class TestSolveAndVerify:
                      "--out", str(cert)]) == 0
         assert main(["verify", "--certificate", str(cert),
                      "--point", str(cv)]) == 0
+
+    @pytest.mark.parametrize("mode", [[], ["--rational"]])
+    def test_zero_point_round_trips(self, tmp_path, mode):
+        # x* = 0: one solution, which the verifier allows (k <= max(1, |spp(x*)|))
+        inst_path, point_path = tmp_path / "inst.json", tmp_path / "x.json"
+        inst_path.write_text(json.dumps({"num_vars": 2, "rows": []}))
+        write_point(point_path, [0, 0])
+        lone = tmp_path / "lone.json"
+        lone.write_text(json.dumps({"vertices": 1, "edges": [], "x": []}))
+        tree = ["--instance", str(inst_path)]
+        for solve, given in [(["solve", *tree, "--point", str(point_path)], tree),
+                             (["solve-2ec", "--point", str(lone)], ["--point", str(lone)])]:
+            cert = tmp_path / "cert.json"
+            assert main(solve + mode + ["--out", str(cert)]) == 0
+            assert load_certificate(cert).k == 1
+            assert main(["verify", "--certificate", str(cert), *given]) == 0
 
     def test_solve_2ec_more_vertices_than_edges_connect(self, tmp_path, capsys):
         point_path = tmp_path / "sparse.json"

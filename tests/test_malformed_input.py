@@ -232,9 +232,22 @@ def test_file_that_is_not_json_is_named(valid_docs, name, kind):
     ({"num_vars": 2, "rows": [{"coef": [1], "rhs": 1}]}, "malformed instance"),
     ({"num_vars": 2.5, "rows": []}, "not an integer"),
     ({"num_vars": 2, "rows": [{"coef": {"0": 1}, "rhs": "1/0"}]}, "as a number"),
+    ({"num_vars": -1, "rows": []}, "num_vars -1 is negative"),
 ])
 def test_instance_examples(valid_docs, doc, message):
     code, out, err = run(valid_docs, "solve", "instance", json.dumps(doc))
+    assert_data_error(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"vertices": -1, "edges": [], "x": []}, "vertex count -1 is negative"),
+    (dict(POINT_2EC, edges=[[0, 1, 2], [1, 2], [0, 2]]),
+     "malformed point: edge [0, 1, 2] is not a pair"),
+    (dict(POINT_2EC, edges=[[0], [1, 2], [0, 2]]), "malformed point: edge [0] is not a pair"),
+])
+def test_point_examples(valid_docs, doc, message):
+    code, out, err = run(valid_docs, "solve-2ec", "point_2ec", json.dumps(doc))
     assert_data_error(code, out, err)
     assert message in err
 

@@ -14,7 +14,7 @@ from fdt.model import (BINARY, FLOAT, RATIONAL, ZEROONETWO, Certificate, Row, Ro
                        certificate_to_dict,
                        check_integer_feasible, instance_from_dict,
                        instance_to_dict, is_integral, is_zero, load_instance,
-                       make_instance, save_instance, support,
+                       make_instance, save_instance, solution_limit, support,
                        verify_certificate)
 
 
@@ -241,6 +241,20 @@ class TestCertificate:
                           cert.base_point)
         ok, report = verify_certificate(bad, triangle_vc(), tol=0)
         assert not ok and any("too many" in line for line in report)
+
+    @pytest.mark.parametrize("base_point, k, line", [
+        ((0, 0, 0), 1, None),
+        ((0, 0, 0), 2, "too many solutions: k = 2 > 1, as x* = 0"),
+        ((1, 0, 0), 2, "too many solutions: k = 2 > |spp(x*)| = 1"),
+        ((1, 1, 0), 2, None),
+    ])
+    def test_solution_limit_is_at_least_one(self, base_point, k, line):
+        # k <= max(1, |spp(x*)|): every certificate holds a solution
+        assert solution_limit(base_point) == max(1, len(support(base_point)))
+        cert = Certificate(Fraction(1), (Fraction(1, k),) * k, ((0, 0, 0),) * k,
+                           tuple(map(Fraction, base_point)))
+        ok, report = verify_certificate(cert, make_instance(3, []), tol=0)
+        assert report == ([] if line is None else [line])
 
     def test_base_point_outside_box_named(self):
         cert = self.make_cert()

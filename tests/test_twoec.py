@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fdt import twoec
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
@@ -187,6 +188,26 @@ class TestBranching:
             assert ((pool.rows.start, pool.rows.index, pool.rows.values, pool.rows.rhs)
                     == (one.start, one.index, one.values, one.rhs))
 
+    @pytest.mark.parametrize("point, mode", [
+        (cv8(), "float"),
+        (SubtourPoint(make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]),
+                      (Fraction(2, 3),) * 6), "rational"),
+    ])
+    def test_separation_checks_the_branches_split_keeps(self, monkeypatch, point, mode):
+        # one list of thresholds per branching LP solved
+        rounds = []
+        solve, separate = twoec._branching_lp, twoec.separate_subtour
+        monkeypatch.setattr(twoec, "_branching_lp",
+                            lambda *args: rounds.append([]) or solve(*args))
+        monkeypatch.setattr(twoec, "separate_subtour",
+                            lambda g, y, threshold, tol: rounds[-1].append(threshold)
+                            or separate(g, y, threshold, tol))
+        br = branch_lpc_2ec(point.graph, list(point.x), 0, mode=mode)
+        kept = [2 * g for g in br.gammas if g]
+        assert len(kept) >= 2
+        assert rounds[-1] == kept
+        assert [xh is not None for xh in br.x_hats] == [bool(g) for g in br.gammas]
+
     def test_zero_edge_rejected(self):
         pt = square()
         with pytest.raises(ValueError):
@@ -219,6 +240,14 @@ class TestFdt2ec:
             for g in lv["branch_totals"]:
                 assert g >= 2 / 3 - 1e-6
         assert cert.k <= t
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_single_vertex_certifies_one_empty_solution(self, mode):
+        # x* = 0 has an empty support, and the certificate still holds a solution
+        graph = make_graph(1, [])
+        cert = fdt_2ec(SubtourPoint(graph, ()), mode=mode)
+        assert (cert.k, cert.solutions, cert.factor) == (1, ((),), 1)
+        assert verify_certificate_2ec(cert, graph, tol=0) == (True, [])
 
     def test_tampered_certificate_rejected(self):
         cert = fdt_2ec(cv8())
