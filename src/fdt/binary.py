@@ -213,14 +213,15 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     convex combination is dominated by factor * x_star componentwise.
     x_star must lie in the relaxation P (see _base_point).  Levels follow
     the coordinates of branch_order, a sequence, that are in spp(x*), or
-    else spp(x*) in index order: a zero coordinate splits no node.  A float
-    run that breaks an invariant is retried once in rational mode."""
+    else spp(x*) in index order: a zero coordinate splits no node.  An
+    order that misses a coordinate of spp(x*), or holds one outside
+    [0, n), is a ValueError, raised before any LP.  A float run that breaks
+    an invariant is retried once in rational mode."""
 
     def run(ar):
         x0 = _base_point(inst, x_star, ar)
         supp = support(x0)
-        order = (supp if branch_order is None
-                 else list(filter(set(supp).__contains__, branch_order)))
+        order = _branch_order(branch_order, supp, inst.num_vars)
         return _decompose(
             x0, order, ar, trace,
             settle=lambda x, coord: _settle(x, coord, ar),
@@ -232,6 +233,21 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
         )
 
     return exact_on_failure(run, mode, trace)
+
+
+def _branch_order(branch_order, supp, n):
+    """The coordinates of branch_order in supp, in its order, or supp when
+    branch_order is None; a ValueError names those of supp it misses and
+    those outside [0, n)."""
+    if branch_order is None:
+        return supp
+    outside = [i for i in branch_order if not 0 <= i < n]
+    if outside:
+        raise ValueError(f"branch_order: coordinates {outside} are outside [0, {n})")
+    missed = sorted(set(supp).difference(branch_order))
+    if missed:
+        raise ValueError(f"branch_order misses coordinates {missed} of spp(x*)")
+    return list(filter(set(supp).__contains__, branch_order))
 
 
 def exact_on_failure(run, mode, trace):

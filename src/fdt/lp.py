@@ -128,8 +128,9 @@ def solve(problem, mode):
     mode is "rational" (exact) or "float"; a float solve with no checked
     optimum is solved once more, exactly, here and nowhere else, and says
     mode "rational".  lower, upper and objective need one entry per column,
-    every lower bound must be a finite number, and every upper bound a
-    number, +inf or None (both unbounded), not NaN or -inf.  A row with
+    every lower bound and objective coefficient must be a finite number,
+    and every upper bound a number no smaller than its lower bound, +inf or
+    None (both unbounded), not NaN or -inf.  A row with
     two nonzero entries on one column is a ValueError in both modes (HiGHS
     refuses the model, and the exact backend raises).
     """
@@ -141,6 +142,12 @@ def solve(problem, mode):
         raise ValueError("lower bounds must be finite")
     if any(v is not None and (v != v or v == -inf) for v in problem.upper):
         raise ValueError("upper bounds must not be NaN or -inf")
+    below = [j for j, (lo, hi) in enumerate(zip(problem.lower, problem.upper))
+             if hi is not None and hi < lo]
+    if below:
+        raise ValueError(f"upper bound below lower bound on column {below[0]}")
+    if any(v != v or abs(v) == inf for v in problem.objective):
+        raise ValueError("objective has a non-finite coefficient")
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "float" and (out := _solve_float(problem)) is not None:
@@ -168,8 +175,6 @@ def _solve_float(problem):
         _load_highs()
     n = problem.num_cols
     objective = np.fromiter(problem.objective, float, n)
-    if not np.isfinite(objective).all():
-        raise ValueError("objective has a non-finite coefficient")
     c = -objective if problem.maximize else objective
     start, index, value, sense, rhs = problem.csr()
     m, nnz = len(rhs), len(index)

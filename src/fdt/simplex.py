@@ -21,8 +21,9 @@ same way.  A pivot on (r, e) flips row r's sign so that N_r[e] = P > 0 and
 divides it by its gcd; every other row with N_i[e] != 0 becomes
 N_i * P - N_i[e] * N_r over D_i * P, the subtraction running over row r's
 nonzeros only, and is then divided by its gcd (fraction-free elimination,
-Edmonds 1967).  The reduced-cost row is computed once per phase and carried
-across pivots by the same elimination.  Each column is first scaled by the
+Edmonds 1967).  The reduced costs of both phases are two more such rows,
+built with the tableau and eliminated by every pivot: phase 1 prices on
+the last, which is then dropped.  Each column is first scaled by the
 least common denominator of its bounds, so that bounds, bound flips and
 ratio-test numerators are ints too; scaling column e by s > 0 multiplies
 every ratio of that pivot step by the same s and keeps every sign, so it
@@ -71,29 +72,24 @@ class _Tableau:
         Structural column j is scaled by scale[j], the least common
         denominator of its bounds, and one slack column (scale 1) follows per
         inequality row: +1 on a <= row, -1 on a >= row.  lo and hi are the
-        scaled int bounds (hi None when infinite), cost the scaled objective
-        as (ints, denominator).  A row with two nonzero entries on one column
-        is a ValueError.
+        scaled int bounds (hi None when infinite).  The m constraint rows
+        are followed by two reduced-cost rows: phase 2's, the scaled
+        objective, and phase 1's, the sum of the artificials.  The problem
+        is one lp.solve has checked; a row with two nonzero entries on one
+        column is a ValueError.
         """
-        lo = [None if v is None else _rational(v) for v in problem.lower]
+        lo = [_rational(v) for v in problem.lower]
         hi = [None if v is None or isinstance(v, float) and v == inf else _rational(v)
               for v in problem.upper]
-        if any(v is None for v in lo):
-            raise ValueError("finite lower bounds required")
-        if any(h is not None and h < l for l, h in zip(lo, hi)):
-            raise ValueError("upper bound below lower bound")
         scale = [l.denominator if h is None else lcm(l.denominator, h.denominator)
                  for l, h in zip(lo, hi)]
         lo = [l.numerator * (s // l.denominator) for l, s in zip(lo, scale)]
         hi = [None if h is None else h.numerator * (s // h.denominator)
               for h, s in zip(hi, scale)]
-        try:
-            objective = [_rational(v) for v in problem.objective]
-        except (OverflowError, ValueError) as exc:  # Fraction of inf or NaN
-            raise ValueError("objective has a non-finite coefficient") from exc
         sign = -1 if problem.maximize else 1
         cost, cost_den = _common_denominator(
-            [(sign * v.numerator, v.denominator * s) for v, s in zip(objective, scale)])
+            [(sign * v.numerator, v.denominator * s)
+             for v, s in zip(map(_rational, problem.objective), scale)])
 
         start, index, value, senses, rhs = problem.csr()
         slacks = len(senses) - senses.count(EQ)
@@ -102,7 +98,6 @@ class _Tableau:
         self.scale = scale + [1] * slacks
         self.lo = lo = lo + [0] * slacks
         self.hi = hi = hi + [None] * slacks
-        self.cost = cost + [0] * slacks, cost_den
         # columns that may enter the basis, in Bland order; fixed ones never do
         self.movable = [j for j in range(ncol) if lo[j] != hi[j]]
         # start: every nonbasic column at its lower bound.  A row whose
@@ -142,7 +137,19 @@ class _Tableau:
             dense[ncol] = sgn * r
             self.N.append(dense)
             self.D.append(den)
-        self.d = None  # reduced-cost row of the current phase, as (ints, den)
+        # reduced costs c - c_B B^-1 A, each one more row that every pivot
+        # eliminates.  Every starting basic column, slack or artificial, has
+        # phase 2 cost 0, so phase 2's row is the cost itself; phase 1's is
+        # minus the rows whose artificial is basic.
+        self.N.append(cost + [0] * (slacks + 1))
+        self.D.append(cost_den)
+        arts = [k for k, j in enumerate(self.basis) if j >= ncol]
+        den = lcm(*(self.D[k] for k in arts))
+        rows = [(self.N[k], den // self.D[k]) for k in arts]
+        d = [-sum(Nk[j] * f for Nk, f in rows) for j in range(ncol + 1)]
+        g = gcd(den, *d)
+        self.N.append([v // g for v in d])
+        self.D.append(den // g)
 
     def values(self, count):
         """The values of the first count columns, unscaled."""
@@ -153,31 +160,13 @@ class _Tableau:
                 out[j] = Fraction(self.N[i][self.n], self.D[i] * self.scale[j])
         return out
 
-    def _reduced_costs(self, cost, art_cost):
-        """cost minus c_B times the tableau, as one int row over a positive
-        int denominator; cost is (ints, denominator), art_cost an int over
-        the same denominator."""
-        c, c_den = cost
-        basic_cost = [(i, c[j] if j < self.n else art_cost) for i, j in enumerate(self.basis)]
-        basic_cost = [(i, ci) for i, ci in basic_cost if ci]
-        den = lcm(*(self.D[i] for i, _ in basic_cost))
-        d = [v * den for v in c] + [0]
-        for i, ci in basic_cost:
-            k = ci * (den // self.D[i])
-            for j, v in enumerate(self.N[i]):
-                if v:
-                    d[j] -= k * v
-        den *= c_den
-        g = gcd(den, *d)
-        return [v // g for v in d], den // g
-
     def _pivot(self, r, e, col, leave_at, enter_at):
         """Make column e basic in row r: the leaving variable goes to the
         value leave_at and e takes the value enter_at plus the step (the
         two bounds, scaled, that they sit at).  col lists the rows with a
         nonzero in column e as (row, entry) pairs.
 
-        Every other such row, and the reduced-cost row, becomes itself
+        Every other such row, constraint or reduced-cost, becomes itself
         minus its entry f in column e times the pivot row, whose nonzeros
         are nz over p_den = its entry in column e, and is then divided by
         its gcd."""
@@ -192,12 +181,10 @@ class _Tableau:
             row = [v // g for v in row]
         p_den = row[e]
         nz = [(j, v) for j, v in enumerate(row) if v]
-        if self.d is not None and self.d[0][e]:
-            col = [*col, (-1, self.d[0][e])]  # row -1: the reduced costs
         for i, f in col:
             if i == r:
                 continue
-            Ni, den = self.d if i < 0 else (N[i], D[i])
+            Ni, den = N[i], D[i]
             g = gcd(f, p_den)
             p, q = p_den // g, f // g
             if p != 1:
@@ -209,21 +196,18 @@ class _Tableau:
             if g != 1:
                 Ni = [v // g for v in Ni]
                 den //= g
-            if i < 0:
-                self.d = Ni, den
-            else:
-                N[i], D[i] = Ni, den
+            N[i], D[i] = Ni, den
         row[n] += enter_at * p_den
         N[r], D[r] = row, p_den
 
-    def run(self, cost, art_cost):
-        """Minimize cost over the current tableau; returns 'optimal' or 'unbounded'."""
+    def run(self):
+        """Minimize the objective whose reduced costs are the tableau's last
+        row; returns 'optimal' or 'unbounded'."""
         basic = set(self.basis)
-        self.d = self._reduced_costs(cost, art_cost)
         lo, hi, at_upper, basis = self.lo, self.hi, self.at_upper, self.basis
-        N, D, n = self.N, self.D, self.n
+        N, D, n, m = self.N, self.D, self.n, self.m
         for _ in range(MAX_ITER):
-            d = self.d[0]
+            d = N[-1]
             enter = -1
             for j in self.movable:
                 if j in basic:
@@ -246,6 +230,8 @@ class _Tableau:
             if hi[enter] is not None:
                 t_num, t_den = hi[enter] - lo[enter], 1
             for i, wi in col:
+                if i >= m:  # the reduced-cost rows
+                    break
                 bi = basis[i]
                 if (wi > 0) == increase:  # basic variable falls to its lower bound
                     num = N[i][n] - (lo[bi] * D[i] if bi < n else 0)
@@ -265,7 +251,8 @@ class _Tableau:
             enter_at = lo[enter] if increase else hi[enter]
             if leave < 0:
                 # entering variable flips from one finite bound to the other;
-                # the basis, and so the reduced costs, stay as they are
+                # the basis, and so the reduced costs, stay as they are (the
+                # reduced-cost rows' last entries move, and nothing reads them)
                 step = t_num if increase else -t_num
                 for i, wi in col:
                     N[i][n] -= step * wi
@@ -293,7 +280,6 @@ class _Tableau:
 
     def drive_out_artificials(self):
         """Pivot zero-valued artificials out of the basis; drop redundant rows."""
-        self.d = None
         drop = []
         for i in range(self.m):
             if self.basis[i] < self.n:
@@ -319,13 +305,14 @@ def solve_rational(problem):
     covers the problem's structural columns only."""
     tab = _Tableau(problem)
     ncol = tab.n
-    tab.run(([0] * ncol, 1), art_cost=1)
+    tab.run()
     # artificials never go negative, so phase 1 reached 0 iff each one is 0
     if any(tab.N[i][ncol] for i in range(tab.m) if tab.basis[i] >= ncol):
         return "infeasible", None, None
+    del tab.N[-1], tab.D[-1]  # phase 1's row: phase 2 prices on the cost's
     tab.drive_out_artificials()
 
-    status = tab.run(tab.cost, art_cost=0)
+    status = tab.run()
     if status == "unbounded":
         return "unbounded", None, None
 

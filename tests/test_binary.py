@@ -148,6 +148,22 @@ class TestFdtTree:
         assert runs[0] == runs[1]
         assert runs[0][1] == [0, 1, 2]
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("order,message", [
+        ([0], r"misses coordinates \[1, 2\] of spp\(x\*\)"),
+        ([2, 1, 0, 7], r"coordinates \[7\] are outside \[0, 3\)"),
+        ([-1, 0, 1, 2], r"coordinates \[-1\] are outside \[0, 3\)"),
+    ])
+    def test_incomplete_or_out_of_range_branch_order_refused(self, monkeypatch, mode,
+                                                              order, message):
+        # [0] used to end in "InvariantError: leaf coordinate 1 = 0.5 is in
+        # (0, 1)" after an exact retry, and the 7 was dropped silently
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+        monkeypatch.setattr(lp, "solve", no_lp)
+        with pytest.raises(ValueError, match=message):
+            fdt_tree(triangle(), [HALF] * 3, mode=mode, branch_order=order)
+
     def test_branch_order_random_still_valid(self):
         order = [0, 1, 2]
         random.Random(1).shuffle(order)

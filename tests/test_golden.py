@@ -56,7 +56,7 @@ from fdt.graphs import make_graph
 from fdt.model import certificate_to_dict
 from fdt.simplex import solve_rational
 from fdt.twoec import fdt_2ec
-from test_simplex import prob
+from test_simplex import CheckedTableau, prob
 from test_twoec import cv8
 
 GOLDEN = Path(__file__).with_name("golden_rational.json")
@@ -304,6 +304,19 @@ def test_atlas_lps_match_golden():
     assert len(atlas) == 11
     for name, case in atlas.items():
         assert simplex_record(problem_from_dict(case["problem"])) == case["result"], name
+
+
+def test_carried_reduced_costs_on_golden_lps(monkeypatch):
+    """On every LP of golden_simplex.json, each reduced-cost row equals its
+    recomputation at the start of each phase and after every pivot."""
+    CheckedTableau.checks = {1: 0, 2: 0}
+    monkeypatch.setattr(simplex, "_Tableau", CheckedTableau)
+    lps = _load(GOLDEN_LPS)
+    for name, problem in wide_problems():
+        assert simplex_record(problem) == lps["wide"][name], name
+    for name, case in lps["atlas"].items():
+        assert simplex_record(problem_from_dict(case["problem"])) == case["result"], name
+    assert min(CheckedTableau.checks.values()) > 100, CheckedTableau.checks
 
 
 @pytest.mark.parametrize("name,graph", golden_graphs(),

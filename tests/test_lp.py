@@ -107,6 +107,21 @@ class TestInputChecks:
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("upper", [0, Fraction(1, 3), -0.5])
+    def test_upper_bound_below_lower_bound(self, monkeypatch, upper, mode):
+        # the exact simplex raised this, and HiGHS answered "infeasible",
+        # which sent float mode on to the exact simplex
+        def backend(problem):
+            raise AssertionError("a backend ran")
+        monkeypatch.setattr(lp, "_solve_float", backend)
+        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
+        p = lp.LpProblem(num_cols=2, lower=[0, Fraction(1, 2)], upper=[1, upper],
+                         objective=[1, 1])
+        p.add_row({0: 1}, ">=", 0)
+        with pytest.raises(ValueError, match="upper bound below lower bound on column 1"):
+            lp.solve(p, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("bound", [math.inf, None])
     def test_unbounded_upper_bound(self, bound, mode):
         p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])

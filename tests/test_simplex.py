@@ -216,3 +216,86 @@ class TestFuzzAgainstFloatBackend:
                     assert lhs <= rhs
                 else:
                     assert lhs == rhs
+
+
+def reduced_costs(tab, cost, art_cost):
+    """The reference for a carried reduced-cost row: cost minus c_B times
+    the constraint rows, as one Fraction per column, right-hand side left
+    out; cost has one Fraction per column, art_cost is every artificial's."""
+    basic_cost = [cost[j] if j < tab.n else art_cost for j in tab.basis]
+    return [cost[j] - sum(cb * Fraction(tab.N[i][j], tab.D[i])
+                          for i, cb in enumerate(basic_cost) if cb)
+            for j in range(tab.n)]
+
+
+class CheckedTableau(_Tableau):
+    """A tableau that checks its reduced-cost rows against reduced_costs at
+    the start of each run and after every pivot, drive_out_artificials'
+    included: phase 2's row (the one after the constraint rows) always,
+    phase 1's (the last) while it is there.  checks counts them by phase."""
+
+    checks = {1: 0, 2: 0}
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        sign = -1 if problem.maximize else 1
+        cost = [sign * Fraction(c) / s for c, s in zip(problem.objective, self.scale)]
+        self.phase2_cost = cost + [Fraction(0)] * (self.n - len(cost))
+
+    def _row(self, i):
+        return [Fraction(v, self.D[i]) for v in self.N[i][:self.n]]
+
+    def check(self):
+        assert self._row(self.m) == reduced_costs(self, self.phase2_cost, 0)
+        phase = 2
+        if len(self.N) == self.m + 2:
+            phase = 1
+            assert self._row(self.m + 1) == reduced_costs(self, [Fraction(0)] * self.n, 1)
+        CheckedTableau.checks[phase] += 1
+
+    def _pivot(self, *args):
+        super()._pivot(*args)
+        self.check()
+
+    def run(self):
+        self.check()
+        return super().run()
+
+
+def random_fractional_lp(rng):
+    """A seeded LP with fractional data, negative lower bounds and rows
+    around a point inside the bounds, so that most are feasible and both
+    phases pivot, with bound flips."""
+    def q(lo, hi):
+        d = rng.randint(1, 6)
+        return Fraction(rng.randint(lo * d, hi * d), d)
+    n = rng.randint(1, 6)
+    lower = [q(-2, 1) for _ in range(n)]
+    upper = [None if rng.random() < 0.3 else lo + q(0, 3) for lo in lower]
+    point = [lo + q(0, 2) if hi is None else lo + (hi - lo) * q(0, 1)
+             for lo, hi in zip(lower, upper)]
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coef = {i: q(-4, 4) for i in rng.sample(range(n), rng.randint(1, n))}
+        coef = {i: c for i, c in coef.items() if c}
+        if coef:
+            sense = rng.choice([">=", "<=", "=="])
+            lhs = sum(c * point[i] for i, c in coef.items())
+            slack = rng.choice([0, q(0, 2), q(-1, 1)])  # some rows cut the point off
+            rows.append((coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs)))
+    return prob(n, rows, lower=lower, upper=upper, objective=[q(-5, 5) for _ in range(n)],
+                maximize=rng.random() < 0.5)
+
+
+class TestCarriedReducedCosts:
+    """The reduced-cost rows that every pivot eliminates stay equal to
+    c - c_B B^-1 A recomputed from the constraint rows."""
+
+    def test_seeded_random_lps(self, monkeypatch):
+        CheckedTableau.checks = {1: 0, 2: 0}
+        monkeypatch.setattr(simplex, "_Tableau", CheckedTableau)
+        rng = random.Random(23)
+        statuses = {solve_rational(random_fractional_lp(rng))[0] for _ in range(200)}
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        # the start of each run plus many pivots in each phase
+        assert min(CheckedTableau.checks.values()) > 300, CheckedTableau.checks
