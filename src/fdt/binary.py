@@ -55,7 +55,7 @@ def branch_lpc(inst, x_prime, ell, integral_prefix=(), mode="float"):
     binary = inst.var_upper == 1
     fixed = {} if binary else {i: x_prime[i] for i in integral_prefix}
     gammas, copies, active = _branching_lp(x_prime, ell, inst.var_upper,
-                                           inst.row_matrix, (), fixed, ar)
+                                           inst.rows, (), fixed, ar)
     return _split(gammas, copies, active, x_prime, inst.var_upper, ar,
                   prefix=integral_prefix if binary else ())
 
@@ -212,8 +212,9 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     """Full decomposition: returns a certificate of feasible solutions whose
     convex combination is dominated by factor * x_star componentwise.
     x_star must lie in the relaxation P (see _base_point).  Levels follow
-    the coordinates of branch_order, a sequence, that are in spp(x*), or
-    else spp(x*) in index order: a zero coordinate splits no node.  An
+    the coordinates of branch_order, a sequence, that are in spp(x*), each
+    at its first occurrence, or else spp(x*) in index order: a zero
+    coordinate splits no node, nor does one already branched on.  An
     order that misses a coordinate of spp(x*), or holds one outside
     [0, n), is a ValueError, raised before any LP.  A float run that breaks
     an invariant is retried once in rational mode."""
@@ -236,9 +237,9 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
 
 
 def _branch_order(branch_order, supp, n):
-    """The coordinates of branch_order in supp, in its order, or supp when
-    branch_order is None; a ValueError names those of supp it misses and
-    those outside [0, n)."""
+    """The coordinates of branch_order in supp, in the order of their first
+    occurrences, or supp when branch_order is None; a ValueError names
+    those of supp it misses and those outside [0, n)."""
     if branch_order is None:
         return supp
     outside = [i for i in branch_order if not 0 <= i < n]
@@ -247,7 +248,7 @@ def _branch_order(branch_order, supp, n):
     missed = sorted(set(supp).difference(branch_order))
     if missed:
         raise ValueError(f"branch_order misses coordinates {missed} of spp(x*)")
-    return list(filter(set(supp).__contains__, branch_order))
+    return list(dict.fromkeys(filter(set(supp).__contains__, branch_order)))
 
 
 def exact_on_failure(run, mode, trace):
@@ -273,7 +274,7 @@ def _base_point(inst, x_star, ar):
     LP only when x* misses a row, raises UnboundedGapOrInfeasible instead."""
     tol = ar.tol(CHECK_TOL)
     x = base_point(x_star, inst.num_vars, inst.var_upper, ar, tol)
-    missed = row_violations(x, inst.row_matrix, tol)
+    missed = row_violations(x, inst.rows, tol)
     if missed:
         if lp.solve(relaxation_lp(inst), mode="rational").status == lp.INFEASIBLE:
             raise UnboundedGapOrInfeasible("the relaxation has no point")

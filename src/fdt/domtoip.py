@@ -4,19 +4,20 @@ integer solution, one coordinate at a time.
 Each iteration asks a helper LP whether the next support coordinate can be
 pushed to 0 while honoring all earlier decisions; a strictly positive
 optimum pins it at 1.  On covering rows (every coefficient >= 0) the helper
-LP's optimum has a closed form and no LP is solved; other instances solve
-it.  An infeasible LP along the way certifies that either the input
-did not dominate the relaxation or the instance's integrality gap is
-unbounded -- the two cases are indistinguishable here, so one error covers
-both.
+LP's optimum has a closed form, exact in every mode, and no LP is solved;
+other instances solve it.  Each answer is read in its own outcome's mode,
+and a refusal that read a float answer is checked once in rational mode.
+An infeasible LP along the way certifies that either the input did not
+dominate the relaxation or the instance's integrality gap is unbounded --
+the two cases are indistinguishable here, so one error covers both.
 """
 
 import math
 from fractions import Fraction
 
 from . import lp
-from .model import (ZERO_TOL, ValidationError, arithmetic, check_integer_feasible,
-                    is_integral, support)
+from .model import (RATIONAL, ZERO_TOL, ValidationError, arithmetic,
+                    check_integer_feasible, is_integral, support)
 
 
 class UnboundedGapOrInfeasible(RuntimeError):
@@ -27,27 +28,27 @@ def helper_lp(inst, x_cur, finalized, target, mode="float"):
     """min x_target over the relaxation, with `finalized` coordinates pinned
     and everything else capped by the current point.
 
-    On covering rows the optimum has a closed form (_covering_optimum);
-    other instances solve the LP."""
+    On covering rows the optimum has a closed form (_covering_optimum),
+    exact in both modes; other instances solve the LP in mode.  The
+    outcome's mode says which numbers it holds."""
+    arithmetic(mode)  # ValueError for an unknown mode
     if inst.covering:
-        return _covering_helper(inst, x_cur, finalized, target, mode)
+        return _covering_helper(inst, x_cur, finalized, target)
     return _helper_by_lp(inst, x_cur, finalized, target, mode)
 
 
-def _covering_helper(inst, x_cur, finalized, target, mode):
+def _covering_helper(inst, x_cur, finalized, target):
     """helper_lp on an instance whose coefficients are all >= 0, without an
-    LP: its optimal value, exact in both modes, and the optimal point x_cur
-    with the target coordinate lowered to it."""
-    number = arithmetic(mode).number
+    LP: its optimal value and the optimal point, x_cur with the target
+    coordinate lowered to it, both exact and so in mode "rational"."""
     # x_cur exactly, with ints where integral
     u = [p if q == 1 else Fraction(p, q)
          for p, q in (v.as_integer_ratio() for v in x_cur)]
     value = _covering_optimum(inst, u, target in finalized, target)
     if value is None:
-        return lp.LpOutcome(lp.INFEASIBLE, mode=mode)
-    solution = list(map(number, x_cur))
-    solution[target] = value = number(value)
-    return lp.LpOutcome(lp.OPTIMAL, solution=solution, objective=value, mode=mode)
+        return lp.LpOutcome(lp.INFEASIBLE, mode=RATIONAL.name)
+    u[target] = value
+    return lp.LpOutcome(lp.OPTIMAL, solution=u, objective=value, mode=RATIONAL.name)
 
 
 def _covering_optimum(inst, u, pinned, target):
@@ -61,9 +62,11 @@ def _covering_optimum(inst, u, pinned, target):
     (b_r - sum_{i != t} c_ri u_i) / c_rt, and at least x_t's lower bound.
     A row without t that u misses, or v* > u_t, makes the LP infeasible."""
     num, den = u[target] if pinned else 0, 1  # v* so far, as num / den
-    for index, values, rhs in inst.row_matrix:
+    # the CSR lists themselves: a Row tuple per row costs more than this loop
+    start, index, values = inst.rows.start, inst.rows.index, inst.rows.values
+    for a, b, rhs in zip(start, start[1:], inst.rows.rhs):
         rest, c_t = rhs, 0
-        for i, c in zip(index, values):
+        for i, c in zip(index[a:b], values[a:b]):
             if i == target:
                 c_t = c
             else:
@@ -88,7 +91,7 @@ def _helper_by_lp(inst, x_cur, finalized, target, mode):
                         objective=objective)
     # the instance's exact rows in both modes, so that a float failure
     # falls back on its own numbers
-    m = inst.row_matrix
+    m = inst.rows
     prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
     return lp.solve(prob, mode=mode)
 
@@ -101,16 +104,17 @@ def relaxation_lp(inst):
         upper=[inst.var_upper] * inst.num_vars,
         objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
     )
-    m = inst.row_matrix  # exact in both modes, as in _helper_by_lp
+    m = inst.rows  # exact in both modes, as in _helper_by_lp
     prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
     return prob
 
 
 def dom_to_ip(inst, x_tilde, mode="float"):
     """Algorithmic core: returns x in S with x <= x_tilde, a list of ints,
-    or raises UnboundedGapOrInfeasible.  Rational mode reads the helper
-    LP optima exactly."""
-    ar = arithmetic(mode)
+    or raises UnboundedGapOrInfeasible.  Each helper LP optimum is read in
+    its outcome's mode: exactly, unless it is a float one; a refusal after
+    reading a float optimum is checked once more in rational mode."""
+    arithmetic(mode)  # ValueError for an unknown mode
     if len(x_tilde) != inst.num_vars:
         raise ValueError("point has wrong dimension")
     for i, v in enumerate(x_tilde):
@@ -124,8 +128,11 @@ def dom_to_ip(inst, x_tilde, mode="float"):
     x = list(map(round, x_tilde))
     supp = support(x)
     finalized = []
+    read_float = False
     for target in supp:
         out = helper_lp(inst, x, finalized, target, mode=mode)
+        ar = arithmetic(out.mode)
+        read_float |= not ar.exact
         if out.status == lp.INFEASIBLE:
             refusal = "helper LP infeasible: input outside dom(P) or unbounded gap"
             break
@@ -142,7 +149,7 @@ def dom_to_ip(inst, x_tilde, mode="float"):
         if ok:
             return x
         refusal = f"no dominated solution: {report[0]}"
-    if ar.exact:  # the premises fail: input outside dom(P), or an unbounded gap
+    if not read_float:  # the premises fail: input outside dom(P), or an unbounded gap
         raise UnboundedGapOrInfeasible(refusal)
     # a float misread (a zero optimum, a rounding) can manufacture either
     # failure: rule that out, once, before declaring the gap unbounded

@@ -2,10 +2,9 @@
 
 An instance is a constraint system ``A x >= b`` over binary or {0,1,2}
 variables, optionally with a nonnegative cost vector.  All coefficients are
-kept as exact rationals.  Library code reads an instance's rows only
-through its RowMatrix, one set of exact CSR lists that both LP backends,
-the integer checks and the verifier share; the Row dicts remain for
-building instances and for reading and writing JSON.
+kept as exact rationals, once: an instance's rows are a RowMatrix, one
+set of exact CSR lists that both LP backends, the integer checks, the
+verifier and the JSON writer read.
 
 Every check of both problem types is here, apart from the solvers, so a
 certificate needs trust in this module and fdt.graphs' min cut only: the
@@ -15,9 +14,10 @@ premise x* in P, feasibility (integer points exactly) and the invariants.
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import Graph, global_min_cut, graph_to_dict, make_graph
 
@@ -131,17 +131,18 @@ def solution_limit(x):
     return max(1, len(support(x)))
 
 
-@dataclass(frozen=True)
-class Row:
-    """A sparse constraint  sum_i coef[i] * x_i >= rhs."""
+class Row(NamedTuple):
+    """One row  sum_k values[k] * x[index[k]] >= rhs  of a RowMatrix."""
 
-    coef: dict
-    rhs: Fraction
+    index: list
+    values: list
+    rhs: object
 
     def value(self, x):
-        return sum(c * x[i] for i, c in self.coef.items())
+        return sum([c * x[i] for i, c in zip(self.index, self.values)])
 
 
+@dataclass
 class RowMatrix:
     """Rows  sum_k values[k] * x[index[k]] >= rhs[r]  over k in
     start[r]:start[r+1], as CSR lists of exact numbers, integral Fractions
@@ -150,18 +151,18 @@ class RowMatrix:
     where it hands them to HiGHS.  The lists are the matrix's own: callers
     read them and copy what they keep."""
 
-    def __init__(self, rows=()):
-        self.start, self.index, self.values, self.rhs = [0], [], [], []
-        for row in rows:
-            self.append(row.coef, row.coef.values(), row.rhs)
+    start: list = field(default_factory=lambda: [0])
+    index: list = field(default_factory=list)
+    values: list = field(default_factory=list)
+    rhs: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.rhs)
 
     def __iter__(self):
-        """Each row as (index, values, rhs), its slices of the lists."""
+        """Each row as a Row of its slices of the lists."""
         index, values = self.index, self.values
-        return ((index[a:b], values[a:b], rhs)
+        return (Row(index[a:b], values[a:b], rhs)
                 for a, b, rhs in zip(self.start, self.start[1:], self.rhs))
 
     def append(self, index, values, rhs):
@@ -179,7 +180,7 @@ def _int_if_integral(v):
 @dataclass(frozen=True)
 class IpInstance:
     num_vars: int
-    rows: tuple
+    rows: RowMatrix
     kind: str = BINARY
     objective: tuple = None
     name: str = ""
@@ -189,8 +190,8 @@ class IpInstance:
             raise ValidationError(f"num_vars {self.num_vars} is negative")
         if self.kind not in (BINARY, ZEROONETWO):
             raise ValidationError(f"unknown variable kind {self.kind!r}")
-        for k, row in enumerate(self.rows):
-            for i in row.coef:
+        for k, (index, _, _) in enumerate(self.rows):
+            for i in index:
                 if not (0 <= i < self.num_vars):
                     raise ValidationError(
                         f"row {k}: coefficient on variable {i}, "
@@ -210,15 +211,10 @@ class IpInstance:
         return 1 if self.kind == BINARY else 2
 
     @cached_property
-    def row_matrix(self):
-        """The rows as one RowMatrix, built on first use."""
-        return RowMatrix(self.rows)
-
-    @cached_property
     def covering(self):
         """Is every row coefficient >= 0?  make_instance negates <= rows and
         splits == rows into a negated pair, so those instances are not."""
-        return all(c >= 0 for c in self.row_matrix.values)
+        return all(c >= 0 for c in self.rows.values)
 
     def cost(self, x):
         if self.objective is None:
@@ -232,7 +228,7 @@ def make_instance(num_vars, rows, kind=BINARY, objective=None, name=""):
     Senses '<=' and '==' are normalized away: a <= row is negated, an == row
     is split into a >= pair.
     """
-    norm = []
+    norm = RowMatrix()
     for k, row in enumerate(rows):
         if len(row) == 2:
             coef, rhs = row
@@ -241,19 +237,16 @@ def make_instance(num_vars, rows, kind=BINARY, objective=None, name=""):
             coef, rhs, sense = row
         coef = {int(i): as_fraction(c) for i, c in coef.items() if as_fraction(c) != 0}
         rhs = as_fraction(rhs)
-        if sense == ">=":
-            norm.append(Row(coef, rhs))
-        elif sense == "<=":
-            norm.append(Row({i: -c for i, c in coef.items()}, -rhs))
-        elif sense in ("==", "="):
-            norm.append(Row(coef, rhs))
-            norm.append(Row({i: -c for i, c in coef.items()}, -rhs))
-        else:
+        if sense not in (">=", "<=", "==", "="):
             raise ValidationError(f"row {k}: unknown sense {sense!r}")
+        if sense != "<=":  # >= and == keep the row, <= and == add its negation
+            norm.append(coef, coef.values(), rhs)
+        if sense != ">=":
+            norm.append(coef, [-c for c in coef.values()], -rhs)
     obj = None
     if objective is not None:
         obj = tuple(as_fraction(c) for c in objective)
-    return IpInstance(int(num_vars), tuple(norm), kind=kind, objective=obj, name=name)
+    return IpInstance(int(num_vars), norm, kind=kind, objective=obj, name=name)
 
 
 def instance_to_dict(inst, rational=True):
@@ -263,8 +256,8 @@ def instance_to_dict(inst, rational=True):
         "num_vars": inst.num_vars,
         "kind": inst.kind,
         "rows": [
-            {"coef": {str(i): conv(c) for i, c in row.coef.items()}, "rhs": conv(row.rhs)}
-            for row in inst.rows
+            {"coef": {str(i): conv(c) for i, c in zip(index, values)}, "rhs": conv(rhs)}
+            for index, values, rhs in inst.rows
         ],
     }
     if inst.objective is not None:
@@ -311,7 +304,7 @@ def check_integer_feasible(z, inst):
     report = [f"coordinate {i} = {v} outside {{0..{inst.var_upper}}}"
               for i, v in enumerate(zi) if not 0 <= v <= inst.var_upper]
     report.extend(f"row {k} violated: {num_str(value)} < {num_str(rhs)}"
-                  for k, value, rhs in row_violations(zi, inst.row_matrix, 0))
+                  for k, value, rhs in row_violations(zi, inst.rows, 0))
     return not report, report
 
 
@@ -324,8 +317,9 @@ def row_violations(x, rows, tol):
     """(k, value, rhs) for each row k of rows (a RowMatrix) whose value at
     x falls short of its right-hand side by more than tol."""
     missed = []
-    for k, (index, values, rhs) in enumerate(rows):
-        value = sum([c * x[i] for i, c in zip(index, values)])
+    start, index, values = rows.start, rows.index, rows.values  # faster than Row tuples
+    for k, (a, b, rhs) in enumerate(zip(start, start[1:], rows.rhs)):
+        value = sum([c * x[i] for i, c in zip(index[a:b], values[a:b])])
         if value - rhs < -tol:
             missed.append((k, value, rhs))
     return missed
@@ -363,7 +357,7 @@ def verify_certificate(cert, inst, tol=1e-6):
 
     def violations(x):
         return [f"base point violates row {k}: {num_str(value)} < {num_str(rhs)}"
-                for k, value, rhs in row_violations(x, inst.row_matrix, tol)]
+                for k, value, rhs in row_violations(x, inst.rows, tol)]
 
     return _verify_solutions(cert, inst.num_vars, inst.var_upper, infeasibility,
                              violations, tol)

@@ -149,6 +149,19 @@ class TestFdtTree:
         assert runs[0][1] == [0, 1, 2]
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_branch_order_branches_once_per_coordinate(self, mode):
+        # a repeated coordinate once traced a fourth level, on a coordinate
+        # every node had already settled
+        runs = []
+        for order in ([0, 1, 2], [0, 1, 2, 0]):
+            trace = []
+            runs.append((fdt_tree(triangle(), [HALF] * 3, mode=mode, branch_order=order,
+                                  trace=trace),
+                         [lv["coordinate"] for lv in trace]))
+        assert runs[0] == runs[1]
+        assert runs[1][1] == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("order,message", [
         ([0], r"misses coordinates \[1, 2\] of spp\(x\*\)"),
         ([2, 1, 0, 7], r"coordinates \[7\] are outside \[0, 3\)"),

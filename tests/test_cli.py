@@ -66,7 +66,7 @@ class TestGen:
         assert main(["gen", "vc", "--pace", str(pace_square), "--out", str(out)]) == 0
         inst = load_instance(out)
         assert inst.num_vars == 4
-        assert sorted(sorted(row.coef) for row in inst.rows) == [[0, 1], [0, 3], [1, 2], [2, 3]]
+        assert sorted(sorted(row.index) for row in inst.rows) == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_negative_pace_vertex_count_named(self, tmp_path, capsys):
         path = tmp_path / "negative.gr"

@@ -104,17 +104,31 @@ class TestDomToIp:
     ])
     def test_float_refusal_restarts_once_in_rational_mode(self, monkeypatch, inst, x_tilde,
                                                           message):
-        # both refusals reach the one restart; only the exact run raises
-        modes = []
+        # a float run restarts only after reading a float optimum; these
+        # refusals read none (no support, or an infeasible LP that
+        # lp.solve settled exactly), so the float run raises
+        with pytest.raises(UnboundedGapOrInfeasible, match=message):
+            self.modes_of(monkeypatch, inst, x_tilde)
+        assert self.modes == ["float"]
+
+    def test_refusal_after_a_float_optimum_restarts_once(self, monkeypatch):
+        # x0 = x1 = 1/2 is the only point: the float optimum 0.5 pins x0 at
+        # 1, and the next helper LP is infeasible
+        inst = make_instance(2, [({0: 1, 1: 1}, 1, "=="), ({0: 1, 1: -1}, 0, "==")])
+        with pytest.raises(UnboundedGapOrInfeasible, match="^helper LP infeasible"):
+            self.modes_of(monkeypatch, inst, [1, 1])
+        assert self.modes == ["float", "rational"]
+
+    def modes_of(self, monkeypatch, inst, x_tilde):
+        """Run float dom_to_ip, recording in self.modes every mode it runs in."""
+        self.modes = []
         real = domtoip.dom_to_ip
 
         def spy(inst, x_tilde, mode="float"):
-            modes.append(mode)
+            self.modes.append(mode)
             return real(inst, x_tilde, mode=mode)
         monkeypatch.setattr(domtoip, "dom_to_ip", spy)
-        with pytest.raises(UnboundedGapOrInfeasible, match=message):
-            domtoip.dom_to_ip(inst, x_tilde, mode="float")
-        assert modes == ["float", "rational"]
+        return domtoip.dom_to_ip(inst, x_tilde, mode="float")
 
     def test_fractional_input_is_caller_error(self):
         with pytest.raises(ValueError):

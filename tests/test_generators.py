@@ -14,7 +14,7 @@ class TestVc:
         g = make_graph(3, [(0, 1), (1, 2)])
         inst = gen_vc(g)
         assert len(inst.rows) == 2
-        assert inst.rows[0].coef == {0: 1, 1: 1} and inst.rows[0].rhs == 1
+        assert list(inst.rows)[0] == ([0, 1], [1, 1], 1)
         assert inst.objective == (1, 1, 1)
 
     def test_custom_costs(self):
@@ -64,7 +64,7 @@ class TestTap:
                 path = nx.shortest_path(tree, a, b)
                 on_path = any({u, v} == {p, q}
                               for p, q in zip(path, path[1:]))
-                assert (j in row.coef) == on_path, (k, j)
+                assert (j in row.index) == on_path, (k, j)
 
     def test_costs_seeded(self):
         a, _ = gen_tap(3, seed=5)

@@ -13,7 +13,7 @@ from fdt.binary import ZERO_TOL, branch_lpc, prune
 from fdt.experiments import _solve_relaxation
 from fdt.generators import cv_support_graph, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import ZEROONETWO, Row, SubtourPoint, is_zero, make_instance
+from fdt.model import ZEROONETWO, SubtourPoint, is_zero, make_instance
 from fdt.twoec import CutPool, branch_lpc_2ec, separate_subtour
 
 
@@ -269,7 +269,7 @@ def reference_branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     for j in range(arity):
         off = j * a
         for row in rows:
-            coef = {off + col[i]: c for i, c in row.coef.items() if i in col}
+            coef = {off + col[i]: c for i, c in zip(row.index, row.values) if i in col}
             coef[lam[j]] = -row.rhs
             prob.add_row(coef, ">=", 0)
         for i in active:
@@ -307,7 +307,7 @@ def reference_relaxation_lp(inst):
         objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
     )
     for row in inst.rows:
-        prob.add_row(dict(row.coef), ">=", row.rhs)
+        prob.add_row(dict(zip(row.index, row.values)), ">=", row.rhs)
     return prob
 
 
@@ -383,7 +383,7 @@ def node_lps(monkeypatch, mode):
     for e in range(2):
         branch_lpc_2ec(pt.graph, x, e, cut_pool=pool, mode=mode)
     assert len(pool) > 0
-    rows = [Row(dict(zip(index, values)), r) for index, values, r in pool.rows]
+    rows = list(pool.rows)
     pinned = [e for e, v in enumerate(x) if v >= 1]
     assert pinned
     built = built_lps(monkeypatch, lambda: branch_lpc_2ec(pt.graph, x, 2, cut_pool=pool,
@@ -472,7 +472,7 @@ def reference_helper_by_lp(inst, x_cur, finalized, target, mode):
         objective=[1 if j == target else 0 for j in active],
     )
     for row in inst.rows:
-        coef = {col_of[i]: c for i, c in row.coef.items() if i in col_of}
+        coef = {col_of[i]: c for i, c in zip(row.index, row.values) if i in col_of}
         prob.add_row(coef, ">=", row.rhs)
     out = lp.solve(prob, mode=mode)
     if out.status == lp.OPTIMAL and out.solution is not None:

@@ -9,7 +9,7 @@ import pytest
 
 from fdt import (SubtourPoint, dom_to_ip, fdt_2ec, fdt_dive, fdt_tree, gen_vc, helper_lp,
                  make_graph)
-from fdt.model import (BINARY, FLOAT, RATIONAL, ZEROONETWO, Certificate, Row, RowMatrix,
+from fdt.model import (BINARY, FLOAT, RATIONAL, ZEROONETWO, Certificate, RowMatrix,
                        ValidationError, arithmetic, as_fraction, certificate_from_dict,
                        certificate_to_dict,
                        check_integer_feasible, instance_from_dict,
@@ -49,17 +49,24 @@ class TestArithmetic:
 
 
 class TestRowMatrix:
-    ROWS = [Row({0: Fraction(1), 2: Fraction(1, 3)}, Fraction(2)),
-            Row({1: Fraction(-2)}, Fraction(-1, 3)),
-            Row({}, Fraction(0)),
-            Row({2: Fraction(5, 1)}, Fraction(7, 2))]
+    ROWS = [([0, 2], [Fraction(1), Fraction(1, 3)], Fraction(2)),
+            ([1], [Fraction(-2)], Fraction(-1, 3)),
+            ([], [], Fraction(0)),
+            ([2], [Fraction(5, 1)], Fraction(7, 2))]
 
     @staticmethod
     def lists(m):
         return m.start, m.index, m.values, m.rhs
 
+    @staticmethod
+    def matrix(rows):
+        m = RowMatrix()
+        for row in rows:
+            m.append(*row)
+        return m
+
     def test_integral_fractions_stored_as_ints(self):
-        start, index, values, rhs = self.lists(RowMatrix(self.ROWS))
+        start, index, values, rhs = self.lists(self.matrix(self.ROWS))
         assert (start, index) == ([0, 2, 3, 3, 4], [0, 2, 1, 2])
         assert values == [1, Fraction(1, 3), -2, 5] and rhs == [2, Fraction(-1, 3), 0,
                                                                   Fraction(7, 2)]
@@ -68,18 +75,29 @@ class TestRowMatrix:
 
     @pytest.mark.parametrize("split", range(5))
     def test_append_equals_one_matrix(self, split):
-        grown = RowMatrix(self.ROWS[:split])
+        grown = RowMatrix(*map(list, self.lists(self.matrix(self.ROWS[:split]))))
         for row in self.ROWS[split:]:
-            grown.append(row.coef, row.coef.values(), row.rhs)
-        whole = RowMatrix(self.ROWS)
+            grown.append(*row)
+        whole = self.matrix(self.ROWS)
         assert len(grown) == len(whole) == len(self.ROWS)
         assert self.lists(grown) == self.lists(whole)
 
     def test_rows_iterate_as_slices(self):
-        assert list(RowMatrix(self.ROWS)) == [([0, 2], [1, Fraction(1, 3)], 2),
-                                               ([1], [-2], Fraction(-1, 3)),
-                                               ([], [], 0),
-                                               ([2], [5], Fraction(7, 2))]
+        rows = list(self.matrix(self.ROWS))
+        assert rows == [([0, 2], [1, Fraction(1, 3)], 2),
+                        ([1], [-2], Fraction(-1, 3)),
+                        ([], [], 0),
+                        ([2], [5], Fraction(7, 2))]
+        assert [row.value([3, 1, 6]) for row in rows] == [5, -2, 0, 30]
+
+    def test_equality_reads_every_list(self):
+        same = self.matrix(self.ROWS)
+        assert self.matrix(self.ROWS) == same
+        changed_coef = [([0, 2], [Fraction(1), Fraction(2, 3)], Fraction(2)), *self.ROWS[1:]]
+        changed_rhs = [*self.ROWS[:3], ([2], [Fraction(5)], Fraction(5, 2))]
+        extra_row = [*self.ROWS, ([], [], Fraction(0))]
+        for rows in (changed_coef, changed_rhs, extra_row):
+            assert self.matrix(rows) != same
 
 
 class TestNumbers:
@@ -116,8 +134,7 @@ class TestInstance:
         inst = make_instance(2, [({0: 1}, 1, "<="), ({1: 1}, 1, "==")])
         # <= becomes a negated >=; == splits into a >= pair
         assert len(inst.rows) == 3
-        assert inst.rows[0].coef == {0: -1} and inst.rows[0].rhs == -1
-        assert inst.rows[1].coef == {1: 1} and inst.rows[2].coef == {1: -1}
+        assert list(inst.rows) == [([0], [-1], -1), ([1], [1], 1), ([1], [-1], -1)]
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValidationError):

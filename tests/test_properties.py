@@ -5,8 +5,9 @@ K4 and K5; on both problem types the verifier refuses each single
 mutation of a certificate with its report line; dom_to_ip's helper
 LP has the same optimum in closed form as by solving the LP; on random
 instances with rows of every sense, the checks that read an instance's
-RowMatrix agree with its Row dicts; on random bounded LPs the exact simplex
-agrees with HiGHS on the optimum and returns a basic solution."""
+RowMatrix agree with evaluating its drawn rows by hand; on random bounded
+LPs the exact simplex agrees with HiGHS on the optimum and returns a
+basic solution."""
 
 import math
 from dataclasses import replace
@@ -118,8 +119,8 @@ def certified_problems(draw, kind):
         _, x = _solve_relaxation(inst, "rational")
         assume(not all(is_integral(v) for v in x))
         z = draw(st.lists(st.integers(0, inst.var_upper), min_size=len(x), max_size=len(x)))
-        row = inst.rows[draw(st.integers(0, len(inst.rows) - 1))]
-        z = tuple(0 if i in row.coef else v for i, v in enumerate(z))
+        row = list(inst.rows)[draw(st.integers(0, len(inst.rows) - 1))]
+        z = tuple(0 if i in row.index else v for i, v in enumerate(z))
         return (fdt_tree(inst, x, mode="rational"),
                 lambda cert: verify_certificate(cert, inst, tol=0), z, "infeasible: row ")
     n = draw(st.sampled_from([4, 5]))
@@ -194,13 +195,13 @@ def test_helper_closed_form_matches_lp(draw, mode):
     inst, caps, finalized, target = draw
     assert inst.covering
     x_cur = [Fraction(v) if mode == "rational" else float(v) for v in caps]
-    closed = _covering_helper(inst, x_cur, finalized, target, mode)
+    closed = _covering_helper(inst, x_cur, finalized, target)
     solved = _helper_by_lp(inst, x_cur, finalized, target, mode)
-    assert closed.status == solved.status
+    assert closed.status == solved.status and closed.mode == "rational"
     if closed.status != lp.OPTIMAL:
         return
     tol = 0 if mode == "rational" else 1e-9
-    assert isinstance(closed.objective, Fraction if mode == "rational" else float)
+    assert isinstance(closed.objective, Fraction)
     assert abs(closed.objective - solved.objective) <= tol
     assert closed.solution[target] == closed.objective
     assert all(row.value(closed.solution) - row.rhs >= -tol for row in inst.rows)
@@ -209,8 +210,9 @@ def test_helper_closed_form_matches_lp(draw, mode):
 @st.composite
 def mixed_instances(draw):
     """An instance with >=, <= and == rows whose coefficients and
-    right-hand sides are ints or Fractions of either sign, an integer point
-    in its box and a rational one."""
+    right-hand sides are ints or Fractions of either sign, the drawn
+    (coef, rhs, sense) triples it was made from, an integer point in its
+    box and a rational one."""
     kind = draw(st.sampled_from([BINARY, ZEROONETWO]))
     cap = 1 if kind == BINARY else 2
     n = draw(st.integers(1, 5))
@@ -220,21 +222,32 @@ def mixed_instances(draw):
             for _ in range(draw(st.integers(0, 5)))]
     z = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
     x = draw(st.lists(rationals(0, cap), min_size=n, max_size=n))
-    return make_instance(n, rows, kind=kind), z, x
+    return make_instance(n, rows, kind=kind), rows, z, x
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mixed_instances())
 def test_row_matrix_readers_match_row_dicts(draw):
     """covering, the integer check and the premise check read the
-    instance's RowMatrix; each agrees with evaluating inst.rows directly."""
-    inst, z, x = draw
-    assert inst.covering == all(c >= 0 for row in inst.rows for c in row.coef.values())
+    instance's RowMatrix; each agrees with evaluating the drawn rows by
+    hand, a <= row negated and an == row as the >= row and its negation."""
+    inst, triples, z, x = draw
+    rows = []  # (coef, rhs) of each >= row, in make_instance's order
+    for coef, rhs, sense in triples:
+        if sense in (">=", "=="):
+            rows.append((coef, rhs))
+        if sense in ("<=", "=="):
+            rows.append(({i: -c for i, c in coef.items()}, -rhs))
+
+    def value(coef, point):
+        return sum(c * point[i] for i, c in coef.items())
+
+    assert inst.covering == all(c >= 0 for coef, _ in rows for c in coef.values())
     ok, _ = check_integer_feasible(z, inst)
-    assert ok == all(row.value(z) >= row.rhs for row in inst.rows)
-    missed = [(k, row.value(x), row.rhs) for k, row in enumerate(inst.rows)
-              if row.value(x) < row.rhs]
-    assert row_violations(x, inst.row_matrix, 0) == missed
+    assert ok == all(value(coef, z) >= rhs for coef, rhs in rows)
+    missed = [(k, value(coef, x), rhs) for k, (coef, rhs) in enumerate(rows)
+              if value(coef, x) < rhs]
+    assert row_violations(x, inst.rows, 0) == missed
     cert = Certificate(factor=1, weights=(Fraction(1),), solutions=(tuple(z),),
                        base_point=tuple(x))
     _, report = verify_certificate(cert, inst, tol=0)

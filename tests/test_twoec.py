@@ -8,7 +8,7 @@ from fdt import twoec
 from fdt.binary import InvariantError
 from fdt.domtoip import UnboundedGapOrInfeasible
 from fdt.graphs import Graph, GraphError, global_min_cut, make_graph
-from fdt.model import (Certificate, Row, RowMatrix, SubtourPoint, ValidationError,
+from fdt.model import (Certificate, RowMatrix, SubtourPoint, ValidationError,
                        check_2ec, is_subtour_feasible, point_from_dict, point_to_dict,
                        verify_certificate_2ec)
 from fdt.twoec import CutPool, branch_lpc_2ec, fdt_2ec, floor_round, separate_subtour
@@ -178,15 +178,15 @@ class TestBranching:
         pt = cv8()
         pool = CutPool(pt.graph)
         sides = [frozenset(range(v)) for v in range(2, pt.graph.num_vertices - 1)]
-        rows = [Row({e: 1 for e in pt.graph.cut_edges(frozenset([v]))}, 2)
-                for v in range(pt.graph.num_vertices)]
+        cuts = [pt.graph.cut_edges(frozenset([v])) for v in range(pt.graph.num_vertices)]
         for k, side in enumerate(sides, 1):
             assert pool.add(side)
-            rows.append(Row({e: 1 for e in pt.graph.cut_edges(side)}, 2))
+            cuts.append(pt.graph.cut_edges(side))
             assert len(pool) == k
-            one = RowMatrix(rows)
-            assert ((pool.rows.start, pool.rows.index, pool.rows.values, pool.rows.rhs)
-                    == (one.start, one.index, one.values, one.rhs))
+            one = RowMatrix()
+            for edges in cuts:
+                one.append(edges, [1] * len(edges), 2)
+            assert pool.rows == one
 
     @pytest.mark.parametrize("point, mode", [
         (cv8(), "float"),
