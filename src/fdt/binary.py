@@ -19,9 +19,9 @@ from itertools import accumulate, chain, compress, repeat
 
 from . import lp
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, relaxation_lp
-from .model import (RATIONAL, ZERO_TOL, Certificate, ValidationError, arithmetic,
-                    base_point, check_integer_feasible, is_integral, num_str,
-                    row_violations, solution_limit, support)
+from .model import (RATIONAL, ZERO_TOL, Certificate, RowMatrix, ValidationError,
+                    arithmetic, base_point, check_integer_feasible, is_integral,
+                    num_str, row_violations, solution_limit, support)
 
 # float mode's tolerances; rational mode reads each as 0 (Arithmetic.tol)
 CHECK_TOL = 1e-6
@@ -141,9 +141,9 @@ def _branching_lp(x, ell, cap, rows, pinned, fixed, ar):
 
     upper = [None] * lam + [1] * arity
     upper[col[ell]] = 0  # x^0_ell = 0
-    prob = lp.LpProblem(num_cols=lam + arity, upper=upper,
-                        objective=[0] * lam + [1] * arity, maximize=True)
-    prob.add_rows(row_start, row_index, row_value, row_sense, row_rhs)
+    prob = lp.LpProblem(lam + arity, RowMatrix(row_start, row_index, row_value, row_rhs),
+                        row_sense, upper=upper, objective=[0] * lam + [1] * arity,
+                        maximize=True)
     out = lp.solve(prob, mode=ar.name)
     if out.status != lp.OPTIMAL:
         raise lp.LpError(f"branching LP unexpectedly {out.status}")
@@ -195,8 +195,9 @@ def prune(nodes, x_star, supp=None, mode="float"):
                 index.append(j)
                 value.append(x[i])
         start.append(len(index))
-    prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
-    prob.add_rows(start, index, value, lp.LE, [x_star[i] for i in supp])
+    rows = RowMatrix(start, index, value, [x_star[i] for i in supp])
+    prob = lp.LpProblem(len(nodes), rows, [lp.LE] * len(rows), objective=[1] * len(nodes),
+                        maximize=True)
     out = lp.solve(prob, mode=ar.name)
     if out.status == lp.UNBOUNDED:
         raise lp.LpError("pruning LP unbounded: a node has empty support; "

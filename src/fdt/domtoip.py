@@ -87,26 +87,21 @@ def _helper_by_lp(inst, x_cur, finalized, target, mode):
         lower[j] = x_cur[j]
     objective = [0] * inst.num_vars
     objective[target] = 1
-    prob = lp.LpProblem(num_cols=inst.num_vars, lower=lower, upper=list(x_cur),
-                        objective=objective)
-    # the instance's exact rows in both modes, so that a float failure
+    # the instance's own exact rows in both modes, so that a float failure
     # falls back on its own numbers
-    m = inst.rows
-    prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
+    prob = lp.LpProblem(inst.num_vars, inst.rows, [lp.GE] * len(inst.rows), lower=lower,
+                        upper=list(x_cur), objective=objective)
     return lp.solve(prob, mode=mode)
 
 
 def relaxation_lp(inst):
     """The instance's LP relaxation: min objective . x (0 without an
     objective) over its rows and [0, cap]^n."""
-    prob = lp.LpProblem(
-        num_cols=inst.num_vars,
+    return lp.LpProblem(
+        inst.num_vars, inst.rows, [lp.GE] * len(inst.rows),  # as in _helper_by_lp
         upper=[inst.var_upper] * inst.num_vars,
         objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
     )
-    m = inst.rows  # exact in both modes, as in _helper_by_lp
-    prob.add_rows(m.start, m.index, m.values, lp.GE, m.rhs)
-    return prob
 
 
 def dom_to_ip(inst, x_tilde, mode="float"):
@@ -159,5 +154,8 @@ def dom_to_ip(inst, x_tilde, mode="float"):
 def dom_to_ip_from_fractional(inst, x, mode="float"):
     """Round a relaxation point up to dom(P) and run the main routine."""
     tol = arithmetic(mode).tol(ZERO_TOL)
+    for i, v in enumerate(x):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"coordinate {i} = {v} is not finite")
     ceil = [min(inst.var_upper, math.ceil(v - tol)) for v in x]
     return dom_to_ip(inst, [max(0, v) for v in ceil], mode=mode)

@@ -32,19 +32,29 @@ def read_pace_graph(path):
     comment lines, then one 1-based edge per line."""
     n = None
     edges = []
+
+    def number(token):
+        try:
+            return int(token)
+        except ValueError:
+            raise GraphError(f"{path}:{lineno}: {token!r} is not an integer") from None
+
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             tok = line.split()
             if not tok or tok[0] in ("c", "#"):
                 continue
             if tok[0] == "p":
-                n = int(tok[-2])
+                if len(tok) < 3:
+                    raise GraphError(f"{path}:{lineno}: expected 'p ... n m', got {line!r}")
+                n = number(tok[-2])
                 continue
             if len(tok) != 2:
                 raise GraphError(f"{path}:{lineno}: expected an edge, got {line!r}")
-            u, v = int(tok[0]) - 1, int(tok[1]) - 1
-            edges.append((u, v))
+            edges.append((number(tok[0]) - 1, number(tok[1]) - 1))
     if n is None:
+        if not edges:
+            raise GraphError(f"{path}: no header and no edges")
         n = 1 + max(max(e) for e in edges)
     return make_graph(n, edges, require_connected=False)
 
@@ -179,9 +189,8 @@ def _solve_cycle_lp(graph, cycle_idx, path_idx, c):
     for side in cuts:
         add_cut(side)
     for _ in range(200):
-        prob = lp.LpProblem(num_cols=len(cycle_idx), upper=[2] * len(cycle_idx),
-                            objective=c)
-        prob.add_rows(rows.start, rows.index, rows.values, lp.GE, rows.rhs)
+        prob = lp.LpProblem(len(cycle_idx), rows, [lp.GE] * len(rows),
+                            upper=[2] * len(cycle_idx), objective=c)
         out = lp.solve(prob, mode="float")
         if out.status != lp.OPTIMAL:
             raise CvGenerationError(

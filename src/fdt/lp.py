@@ -9,12 +9,14 @@ interior-point methods are deliberately not offered.  solve is the one
 place a float solve hands over to the exact backend: a float solve with
 no checked optimum is solved once more, exactly.
 
-Problems keep their rows as CSR lists of Python numbers, so building and
-solving one exactly uses no numpy.  numpy loads with HiGHS, on the first
-float solve, and only the float backend uses it: it turns a problem into
-linprog's model (>= rows negated, equality rows last, zero entries
-dropped) and hands HiGHS the matrix row-wise, as the problem holds it;
-HiGHS makes from that the column-wise matrix linprog would have passed.
+A problem's rows are a model.RowMatrix, CSR lists of Python numbers, with
+one sense code per row beside it, so an LP over an instance's rows holds
+the instance's own matrix, and building and solving one exactly uses no
+numpy.  numpy loads with HiGHS, on the first float solve, and only the
+float backend uses it: it turns a problem into linprog's model (>= rows
+negated, equality rows last, zero entries dropped) and hands HiGHS the
+matrix row-wise, as the problem holds it; HiGHS makes from that the
+column-wise matrix linprog would have passed.
 
 The binding is one extension module, ``scipy.optimize._highspy._core``.
 It is loaded from its file, without ``scipy.optimize``'s package import
@@ -44,74 +46,26 @@ class LpError(RuntimeError):
     pass
 
 
-_SENSE = {"<=": LE, ">=": GE, "==": EQ, "=": EQ}
-_SENSE_NAME = ("<=", ">=", "==")
-
-
 class LpProblem:
     """min/max objective . x  subject to sparse rows and column bounds.
 
-    The rows are kept as CSR lists (csr()): row r has the entries
-    start[r]:start[r+1] of (index, value), its sense (LE, GE or EQ) and its
-    right-hand side.  add_rows appends a block in that form, copying it;
-    values and right-hand sides are ints, Fractions or floats, and each
-    backend reads them all (the float one as floats, the rational one
-    exactly).  add_row appends one row given as
-    a {column: coef} dict, as a one-row block.  rows is a read-only view of
-    all rows as (coef dict, sense, rhs) triples.  An upper bound of None or
-    inf means unbounded.
+    rows is a model.RowMatrix, held as given (not copied): row r has the
+    entries start[r]:start[r+1] of (index, values) and the right-hand side
+    rhs[r]; sense has one code per row, LE, GE or EQ.  Values and
+    right-hand sides are ints, Fractions or floats, and each backend reads
+    them all (the float one as floats, the rational one exactly).  An upper
+    bound of None or inf means unbounded.
     """
 
-    def __init__(self, num_cols, lower=None, upper=None, objective=None, maximize=False):
+    def __init__(self, num_cols, rows, sense, lower=None, upper=None, objective=None,
+                 maximize=False):
         self.num_cols = num_cols
+        self.rows = rows
+        self.sense = sense
         self.lower = [0] * num_cols if lower is None else lower
         self.upper = [None] * num_cols if upper is None else upper
         self.objective = [0] * num_cols if objective is None else objective
         self.maximize = maximize
-        self._start, self._index, self._value, self._sense, self._rhs = [0], [], [], [], []
-
-    def add_row(self, coef, sense, rhs):
-        if sense not in _SENSE:
-            raise ValueError(f"unknown sense {sense!r}")
-        self.add_rows([0, len(coef)], list(coef), list(coef.values()), _SENSE[sense], [rhs])
-
-    def add_rows(self, start, index, value, sense, rhs):
-        """Append rows in CSR form (sequences, start from 0); sense is one
-        code for every row or a sequence of codes.  An entry on a column
-        outside [0, num_cols) is a ValueError."""
-        if len(index) and (min(index) < 0 or max(index) >= self.num_cols):
-            raise ValueError(f"row entry on a column outside [0, {self.num_cols})")
-        offset = self._start[-1]
-        self._start.extend([s + offset for s in start[1:]] if offset else start[1:])
-        self._index.extend(index)
-        self._value.extend(value)
-        self._sense.extend([sense] * len(rhs) if isinstance(sense, int) else sense)
-        self._rhs.extend(rhs)
-
-    def csr(self):
-        """Every row as one (start, index, value, sense, rhs) tuple of lists,
-        the problem's own: read them, do not change them."""
-        return self._start, self._index, self._value, self._sense, self._rhs
-
-    @property
-    def rows(self):
-        return _Rows(self)
-
-
-class _Rows:
-    """The rows of an LpProblem as (coef dict, sense, rhs) triples, sense
-    one of "<=", ">=" and "=="."""
-
-    def __init__(self, problem):
-        self._problem = problem
-
-    def __len__(self):
-        return len(self._problem._rhs)
-
-    def __iter__(self):
-        start, index, value, sense, rhs = self._problem.csr()
-        for lo, hi, s, v in zip(start, start[1:], sense, rhs):
-            yield dict(zip(index[lo:hi], value[lo:hi])), _SENSE_NAME[s], v
 
 
 @dataclass
@@ -130,9 +84,11 @@ def solve(problem, mode):
     mode "rational".  lower, upper and objective need one entry per column,
     every lower bound and objective coefficient must be a finite number,
     and every upper bound a number no smaller than its lower bound, +inf or
-    None (both unbounded), not NaN or -inf.  A row with
-    two nonzero entries on one column is a ValueError in both modes (HiGHS
-    refuses the model, and the exact backend raises).
+    None (both unbounded), not NaN or -inf.  The rows must be well-formed
+    CSR lists, with every entry on a column in [0, num_cols), and sense one
+    code (LE, GE or EQ) per row.  A row with two nonzero entries on one
+    column is a ValueError in both modes (HiGHS refuses the model, and the
+    exact backend raises).
     """
     for name in ("lower", "upper", "objective"):
         if len(getattr(problem, name)) != problem.num_cols:
@@ -148,6 +104,24 @@ def solve(problem, mode):
         raise ValueError(f"upper bound below lower bound on column {below[0]}")
     if any(v != v or abs(v) == inf for v in problem.objective):
         raise ValueError("objective has a non-finite coefficient")
+    rows, sense, m = problem.rows, problem.sense, len(problem.rows.rhs)
+    if len(sense) != m:
+        raise ValueError(f"sense has {len(sense)} entries for {m} rows")
+    if not set(sense) <= {LE, GE, EQ}:
+        code = next(s for s in sense if s not in (LE, GE, EQ))
+        raise ValueError(f"unknown sense code {code!r}")
+    start, index = rows.start, rows.index
+    if len(start) != m + 1:
+        raise ValueError(f"start has {len(start)} entries for {m} rows")
+    if start[0] != 0:
+        raise ValueError(f"start begins at {start[0]}, not 0")
+    if start[-1] != len(index):
+        raise ValueError(f"start ends at {start[-1]} for {len(index)} index entries")
+    if len(rows.values) != len(index):
+        raise ValueError(f"values has {len(rows.values)} entries for "
+                         f"{len(index)} index entries")
+    if index and (min(index) < 0 or max(index) >= problem.num_cols):
+        raise ValueError(f"row entry on a column outside [0, {problem.num_cols})")
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "float" and (out := _solve_float(problem)) is not None:
@@ -176,13 +150,13 @@ def _solve_float(problem):
     n = problem.num_cols
     objective = np.fromiter(problem.objective, float, n)
     c = -objective if problem.maximize else objective
-    start, index, value, sense, rhs = problem.csr()
-    m, nnz = len(rhs), len(index)
-    start = np.fromiter(start, np.int64, m + 1)
+    rows = problem.rows
+    m, nnz = len(rows.rhs), len(rows.index)
+    start = np.fromiter(rows.start, np.int64, m + 1)
     count = np.diff(start)
-    sense = np.fromiter(sense, np.int8, m)
-    value = np.fromiter(value, float, nnz)
-    rhs = np.fromiter(rhs, float, m)
+    sense = np.fromiter(problem.sense, np.int8, m)
+    value = np.fromiter(rows.values, float, nnz)
+    rhs = np.fromiter(rows.rhs, float, m)
     flip = sense == GE
     value = np.where(np.repeat(flip, count), -value, value)
     rhs = np.where(flip, -rhs, rhs)
@@ -204,7 +178,7 @@ def _solve_float(problem):
     upper = np.fromiter((inf if v is None else v for v in problem.upper), float, n)
     _, x, activity = linprog(c, lower, upper, row_lower, row_upper,
                              kept_before[row_start],
-                             np.fromiter(index, np.int32, nnz)[entry[kept]], value[kept])
+                             np.fromiter(rows.index, np.int32, nnz)[entry[kept]], value[kept])
     if x is None:
         return None
     slack = row_upper - activity

@@ -144,12 +144,15 @@ class Row(NamedTuple):
 
 @dataclass
 class RowMatrix:
-    """Rows  sum_k values[k] * x[index[k]] >= rhs[r]  over k in
-    start[r]:start[r+1], as CSR lists of exact numbers, integral Fractions
-    stored as ints: sums over integer points stay in int arithmetic, and
-    the exact simplex reads them faster.  The float backend converts them
-    where it hands them to HiGHS.  The lists are the matrix's own: callers
-    read them and copy what they keep."""
+    """Rows  sum_k values[k] * x[index[k]]  over k in start[r]:start[r+1],
+    with right-hand sides rhs[r], as CSR lists.  An instance's and a cut
+    pool's rows all read >= rhs and hold exact numbers; an lp.LpProblem
+    pairs a matrix with one sense per row, and its numbers may be floats.
+    append stores integral Fractions as ints (sums over integer points stay
+    in int arithmetic, and the exact simplex reads them faster); a matrix
+    built from lists holds them as given.  The lists are the matrix's own:
+    callers read them and copy what they keep, and only append changes
+    them, so that covering stays true to them."""
 
     start: list = field(default_factory=lambda: [0])
     index: list = field(default_factory=list)
@@ -165,8 +168,14 @@ class RowMatrix:
         return (Row(index[a:b], values[a:b], rhs)
                 for a, b, rhs in zip(self.start, self.start[1:], self.rhs))
 
+    @cached_property
+    def covering(self):
+        """Is every coefficient >= 0?  Cached until the next append."""
+        return all(c >= 0 for c in self.values)
+
     def append(self, index, values, rhs):
         """Add the row  sum_k values[k] * x[index[k]] >= rhs  at the end."""
+        self.__dict__.pop("covering", None)
         self.index.extend(index)
         self.values.extend(map(_int_if_integral, values))
         self.rhs.append(_int_if_integral(rhs))
@@ -210,11 +219,11 @@ class IpInstance:
     def var_upper(self):
         return 1 if self.kind == BINARY else 2
 
-    @cached_property
+    @property
     def covering(self):
         """Is every row coefficient >= 0?  make_instance negates <= rows and
         splits == rows into a negated pair, so those instances are not."""
-        return all(c >= 0 for c in self.rows.values)
+        return self.rows.covering
 
     def cost(self, x):
         if self.objective is None:

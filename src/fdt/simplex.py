@@ -43,7 +43,7 @@ from math import gcd, inf, lcm
 
 MAX_ITER = 200_000
 
-# the row sense codes of an LpProblem's CSR arrays (fdt.lp re-exports them)
+# the row sense codes of an LpProblem (fdt.lp re-exports them)
 LE, GE, EQ = 0, 1, 2
 
 
@@ -67,7 +67,7 @@ def _common_denominator(ratios):
 
 class _Tableau:
     def __init__(self, problem):
-        """The problem's integer tableau, read in one pass over its CSR lists.
+        """The problem's integer tableau, read in one pass over its rows.
 
         Structural column j is scaled by scale[j], the least common
         denominator of its bounds, and one slack column (scale 1) follows per
@@ -91,7 +91,8 @@ class _Tableau:
             [(sign * v.numerator, v.denominator * s)
              for v, s in zip(map(_rational, problem.objective), scale)])
 
-        start, index, value, senses, rhs = problem.csr()
+        rows, senses = problem.rows, problem.sense
+        start, index, value, rhs = rows.start, rows.index, rows.values, rows.rhs
         slacks = len(senses) - senses.count(EQ)
         self.m = len(rhs)
         self.n = ncol = problem.num_cols + slacks

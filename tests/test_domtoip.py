@@ -176,6 +176,13 @@ class TestFractionalEntry:
         z = dom_to_ip_from_fractional(triangle_vc(), [1.0 + 1e-12, 1.0, 1e-12])
         assert z[2] == 0
 
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinate_rejected(self, bad, mode):
+        # inf used to raise OverflowError from the rounding, NaN ValueError
+        with pytest.raises(ValidationError, match="coordinate 1 = .* is not finite"):
+            dom_to_ip_from_fractional(triangle_vc(), [0.5, bad, 0.5], mode=mode)
+
 
 class TestOracleEquivalence:
     def test_random_covering_instances(self):

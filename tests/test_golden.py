@@ -56,7 +56,8 @@ from fdt.graphs import make_graph
 from fdt.model import certificate_to_dict
 from fdt.simplex import solve_rational
 from fdt.twoec import fdt_2ec
-from test_simplex import CheckedTableau, prob
+from lp_rows import prob, row_triples
+from test_simplex import CheckedTableau
 from test_twoec import cv8
 
 GOLDEN = Path(__file__).with_name("golden_rational.json")
@@ -71,15 +72,15 @@ TREE_PIVOTS = 215
 
 def _random_lp(rng):
     n = rng.randint(2, 6)
-    p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
-    p.objective = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-    p.lower = [Fraction(rng.randint(0, 1)) for _ in range(n)]
-    p.upper = [None if rng.random() < 0.3 else Fraction(rng.randint(2, 4))
-               for _ in range(n)]
+    maximize = rng.random() < 0.5
+    objective = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+    lower = [Fraction(rng.randint(0, 1)) for _ in range(n)]
+    upper = [None if rng.random() < 0.3 else Fraction(rng.randint(2, 4)) for _ in range(n)]
     # rows are tight or slack at a point inside the bounds, so most of these
     # problems are feasible and many are degenerate
     point = [lo + rng.randint(0, 2) if hi is None else rng.randint(int(lo), int(hi))
-             for lo, hi in zip(p.lower, p.upper)]
+             for lo, hi in zip(lower, upper)]
+    rows = []
     for _ in range(rng.randint(2, 6)):
         coef = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 for i in rng.sample(range(n), rng.randint(1, n))}
@@ -88,8 +89,8 @@ def _random_lp(rng):
             sense = rng.choice([">=", "<=", "=="])
             lhs = sum(c * point[i] for i, c in coef.items())
             slack = rng.choice([0, 0, 1, 2])
-            p.add_row(coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs))
-    return p
+            rows.append((coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs)))
+    return prob(n, rows, lower, upper, objective, maximize)
 
 
 def golden_problems():
@@ -154,13 +155,13 @@ def _rational(rng, lo, hi):
 
 def _wide_lp(rng):
     n = rng.randint(2, 7)
-    p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
-    p.objective = [_rational(rng, -5, 5) for _ in range(n)]
-    p.lower = [_rational(rng, -2, 1) for _ in range(n)]
-    p.upper = [None if rng.random() < 0.3 else lo + _rational(rng, 0, 3)
-               for lo in p.lower]
+    maximize = rng.random() < 0.5
+    objective = [_rational(rng, -5, 5) for _ in range(n)]
+    lower = [_rational(rng, -2, 1) for _ in range(n)]
+    upper = [None if rng.random() < 0.3 else lo + _rational(rng, 0, 3) for lo in lower]
     point = [lo + (_rational(rng, 0, 2) if hi is None else (hi - lo) * _rational(rng, 0, 1))
-             for lo, hi in zip(p.lower, p.upper)]
+             for lo, hi in zip(lower, upper)]
+    rows = []
     for _ in range(rng.randint(2, 7)):
         coef = {i: _rational(rng, -4, 4) for i in rng.sample(range(n), rng.randint(1, n))}
         coef = {i: c for i, c in coef.items() if c}
@@ -168,8 +169,8 @@ def _wide_lp(rng):
             sense = rng.choice([">=", "<=", "=="])
             lhs = sum(c * point[i] for i, c in coef.items())
             slack = rng.choice([0, 0, _rational(rng, 0, 2)])
-            p.add_row(coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs))
-    return p
+            rows.append((coef, sense, {">=": lhs - slack, "<=": lhs + slack}.get(sense, lhs)))
+    return prob(n, rows, lower, upper, objective, maximize)
 
 
 def wide_problems():
@@ -211,19 +212,19 @@ def problem_to_dict(p):
         "lower": [str(v) for v in p.lower],
         "upper": [_fmt(v) for v in p.upper],
         "rows": [[{str(i): str(c) for i, c in coef.items()}, sense, str(rhs)]
-                 for coef, sense, rhs in p.rows],
+                 for coef, sense, rhs in row_triples(p)],
     }
 
 
 def problem_from_dict(d):
-    p = lp.LpProblem(
-        num_cols=d["num_cols"], maximize=d["maximize"],
+    return prob(
+        d["num_cols"],
+        [({int(i): Fraction(c) for i, c in coef.items()}, sense, Fraction(rhs))
+         for coef, sense, rhs in d["rows"]],
+        maximize=d["maximize"],
         objective=[Fraction(v) for v in d["objective"]],
         lower=[Fraction(v) for v in d["lower"]],
         upper=[None if v is None else Fraction(v) for v in d["upper"]])
-    for coef, sense, rhs in d["rows"]:
-        p.add_row({int(i): Fraction(c) for i, c in coef.items()}, sense, Fraction(rhs))
-    return p
 
 
 def golden_graphs():
@@ -303,7 +304,9 @@ def test_atlas_lps_match_golden():
     atlas = _load(GOLDEN_LPS)["atlas"]
     assert len(atlas) == 11
     for name, case in atlas.items():
-        assert simplex_record(problem_from_dict(case["problem"])) == case["result"], name
+        problem = problem_from_dict(case["problem"])
+        assert problem_to_dict(problem) == case["problem"], name
+        assert simplex_record(problem) == case["result"], name
 
 
 def test_carried_reduced_costs_on_golden_lps(monkeypatch):

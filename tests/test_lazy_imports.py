@@ -62,10 +62,11 @@ def test_exact_runs_leave_scipy_optimize_unloaded(tmp_path):
 
 FLOAT_SOLVE = """
     from fdt import lp
+    from fdt.model import RowMatrix
 
     def solve():
-        p = lp.LpProblem(num_cols=2, objective=[1, 1])
-        p.add_row({0: 1, 1: 1}, ">=", 1)
+        p = lp.LpProblem(2, RowMatrix([0, 2], [0, 1], [1, 1], [1]), [lp.GE],
+                         objective=[1, 1])
         out = lp.solve(p, mode="float")
         assert (out.status, out.mode, out.objective) == (lp.OPTIMAL, "float", 1.0)
         return out.solution

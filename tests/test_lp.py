@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -13,16 +14,14 @@ from fdt.binary import ZERO_TOL, branch_lpc, prune
 from fdt.experiments import _solve_relaxation
 from fdt.generators import cv_support_graph, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import ZEROONETWO, SubtourPoint, is_zero, make_instance
+from fdt.model import ZEROONETWO, RowMatrix, SubtourPoint, is_zero, make_instance
 from fdt.twoec import CutPool, branch_lpc_2ec, separate_subtour
+from lp_rows import prob, row_triples
 
 
 def triangle_problem(maximize=False):
-    p = lp.LpProblem(num_cols=3, upper=[1, 1, 1], objective=[1, 1, 1],
-                     maximize=maximize)
-    for u, v in [(0, 1), (1, 2), (0, 2)]:
-        p.add_row({u: 1, v: 1}, ">=", 1)
-    return p
+    return prob(3, [({u: 1, v: 1}, ">=", 1) for u, v in [(0, 1), (1, 2), (0, 2)]],
+                upper=[1, 1, 1], objective=[1, 1, 1], maximize=maximize)
 
 
 class TestModeSelection:
@@ -43,89 +42,97 @@ class TestModeSelection:
     @pytest.mark.parametrize("cost", [math.inf, math.nan])
     def test_non_finite_objective_rejected(self, cost, mode):
         with pytest.raises(ValueError, match="non-finite"):
-            lp.solve(lp.LpProblem(num_cols=1, upper=[1], objective=[cost]), mode)
+            lp.solve(prob(1, [], upper=[1], objective=[cost]), mode)
 
 
 class TestInputChecks:
-    """A row entry outside the columns, or bounds or an objective of the
-    wrong length, is refused before either backend sees the problem."""
+    """A malformed row block, a row entry outside the columns, or bounds or
+    an objective of the wrong length, is refused before either backend
+    sees the problem."""
+
+    @pytest.fixture
+    def no_backend(self, monkeypatch):
+        def backend(problem):
+            raise AssertionError("a backend ran")
+        monkeypatch.setattr(lp, "_solve_float", backend)
+        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
-    def test_column_index_past_the_last(self, mode):
+    def test_column_index_past_the_last(self, no_backend, mode):
         # row 1 used to land on row 0's slack column: "optimal", x0 = 6
-        p = lp.LpProblem(num_cols=1, objective=[1])
-        p.add_row({0: 1}, ">=", 1)
-        with pytest.raises(ValueError, match="outside"):
-            p.add_row({1: 1}, ">=", 5)
-        out = lp.solve(p, mode)
-        assert (out.status, out.solution) == (lp.OPTIMAL, [1])
+        p = prob(1, [({0: 1}, ">=", 1), ({1: 1}, ">=", 5)], objective=[1])
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
-    def test_negative_column_index(self, mode):
+    def test_negative_column_index(self, no_backend, mode):
         # used to come back infeasible
-        p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 1])
-        with pytest.raises(ValueError, match="outside"):
-            p.add_rows([0, 2], [0, -1], [1.0, 1.0], lp.GE, [1.0])
-        out = lp.solve(p, mode)
-        assert (out.status, out.solution) == (lp.OPTIMAL, [0, 0])
+        p = prob(2, [({0: 1.0, -1: 1.0}, ">=", 1.0)], upper=[1, 1], objective=[1, 1])
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            lp.solve(p, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize("rows, sense, message", [
+        # a sense code outside LE, GE, EQ used to be solved as <=
+        (RowMatrix([0, 2], [0, 1], [1, 1], [1]), [7], "unknown sense code 7"),
+        (RowMatrix([0, 2], [0, 1], [1, 1], [1]), [lp.GE, lp.GE],
+         "sense has 2 entries for 1 rows"),
+        (RowMatrix([0, 2], [0, 1], [1, 1], [1]), [], "sense has 0 entries for 1 rows"),
+        # used to be solved as a one-row LP
+        (RowMatrix([0, 1, 2], [0, 1], [1, 1], [1]), [lp.GE], "start has 3 entries for 1 rows"),
+        (RowMatrix([1, 2], [0, 1], [1, 1], [1]), [lp.GE], "start begins at 1, not 0"),
+        (RowMatrix([0, 1], [0, 1], [1, 1], [1]), [lp.GE],
+         "start ends at 1 for 2 index entries"),
+        # used to come back infeasible in rational mode and raise numpy's
+        # "iterator too short" in float mode
+        (RowMatrix([0, 2], [0, 1], [1], [1]), [lp.GE],
+         "values has 1 entries for 2 index entries"),
+    ])
+    def test_malformed_rows(self, no_backend, rows, sense, message, mode):
+        p = lp.LpProblem(2, rows, sense, upper=[1, 1], objective=[1, 1])
+        with pytest.raises(ValueError, match=message):
+            lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("name", ["lower", "upper", "objective"])
     def test_wrong_length(self, name, mode):
         # upper=[3] on two columns used to reach HiGHS, which answered [3.0, 0.0]
-        p = lp.LpProblem(num_cols=2, **{"objective": [-1, 0], name: [3]})
-        p.add_row({0: 1, 1: 1}, "<=", 5)
+        p = prob(2, [({0: 1, 1: 1}, "<=", 5)], **{"objective": [-1, 0], name: [3]})
         with pytest.raises(ValueError, match=f"{name} has 1 entries for 2 columns"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("bound", [-math.inf, math.nan, math.inf, None])
-    def test_non_finite_lower_bound(self, monkeypatch, bound, mode):
+    def test_non_finite_lower_bound(self, no_backend, bound, mode):
         # lower=[-inf] used to solve in float mode (x0 = -5.0) and raise
         # OverflowError in rational mode
-        def backend(problem):
-            raise AssertionError("a backend ran")
-        monkeypatch.setattr(lp, "_solve_float", backend)
-        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
-        p = lp.LpProblem(num_cols=1, lower=[bound], upper=[1], objective=[1])
-        p.add_row({0: 1}, ">=", -5)
+        p = prob(1, [({0: 1}, ">=", -5)], lower=[bound], upper=[1], objective=[1])
         with pytest.raises(ValueError, match="lower bounds must be finite"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("bound", [-math.inf, math.nan])
-    def test_nan_or_minus_inf_upper_bound(self, monkeypatch, bound, mode):
+    def test_nan_or_minus_inf_upper_bound(self, no_backend, bound, mode):
         # upper=[-inf] used to raise OverflowError in both modes (float mode
         # fell back to the exact simplex), and NaN "cannot convert NaN"
-        def backend(problem):
-            raise AssertionError("a backend ran")
-        monkeypatch.setattr(lp, "_solve_float", backend)
-        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
-        p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])
-        p.add_row({0: 1}, ">=", Fraction(1, 2))
+        p = prob(1, [({0: 1}, ">=", Fraction(1, 2))], upper=[bound], objective=[1])
         with pytest.raises(ValueError, match="upper bounds must not be NaN or -inf"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("upper", [0, Fraction(1, 3), -0.5])
-    def test_upper_bound_below_lower_bound(self, monkeypatch, upper, mode):
+    def test_upper_bound_below_lower_bound(self, no_backend, upper, mode):
         # the exact simplex raised this, and HiGHS answered "infeasible",
         # which sent float mode on to the exact simplex
-        def backend(problem):
-            raise AssertionError("a backend ran")
-        monkeypatch.setattr(lp, "_solve_float", backend)
-        monkeypatch.setattr(lp.simplex, "solve_rational", backend)
-        p = lp.LpProblem(num_cols=2, lower=[0, Fraction(1, 2)], upper=[1, upper],
-                         objective=[1, 1])
-        p.add_row({0: 1}, ">=", 0)
+        p = prob(2, [({0: 1}, ">=", 0)], lower=[0, Fraction(1, 2)], upper=[1, upper],
+                 objective=[1, 1])
         with pytest.raises(ValueError, match="upper bound below lower bound on column 1"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     @pytest.mark.parametrize("bound", [math.inf, None])
     def test_unbounded_upper_bound(self, bound, mode):
-        p = lp.LpProblem(num_cols=1, upper=[bound], objective=[1])
-        p.add_row({0: 1}, ">=", Fraction(1, 2))
+        p = prob(1, [({0: 1}, ">=", Fraction(1, 2))], upper=[bound], objective=[1])
         out = lp.solve(p, mode)
         assert (out.status, out.solution) == (lp.OPTIMAL, [Fraction(1, 2)])
 
@@ -133,15 +140,15 @@ class TestInputChecks:
     def test_repeated_column_in_a_row(self, mode):
         # x0 + x0 >= 2 on x0 in [0, 1] used to come back infeasible: both
         # backends kept only the last entry
-        p = lp.LpProblem(num_cols=1, upper=[1], objective=[1])
-        p.add_rows([0, 2], [0, 0], [1.0, 1.0], lp.GE, [2.0])
+        p = lp.LpProblem(1, RowMatrix([0, 2], [0, 0], [1.0, 1.0], [2.0]), [lp.GE],
+                         upper=[1], objective=[1])
         with pytest.raises(ValueError, match="row 0 has a repeated column"):
             lp.solve(p, mode)
 
     @pytest.mark.parametrize("mode", ["float", "rational"])
     def test_one_column_in_several_rows(self, mode):
-        p = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 2])
-        p.add_rows([0, 1, 3], [0, 0, 1], [1.0, 1.0, 1.0], lp.GE, [0.5, 1.0])
+        p = prob(2, [({0: 1.0}, ">=", 0.5), ({0: 1.0, 1: 1.0}, ">=", 1.0)], upper=[1, 1],
+                 objective=[1, 2])
         out = lp.solve(p, mode)
         assert (out.status, out.solution) == (lp.OPTIMAL, [1, 0])
 
@@ -155,13 +162,12 @@ class TestBackendsAgree:
         assert [float(v) for v in r.solution] == pytest.approx(f.solution)
 
     def test_statuses_agree_on_infeasible(self):
-        p = lp.LpProblem(num_cols=1, upper=[1])
-        p.add_row({0: 1}, ">=", 2)
+        p = prob(1, [({0: 1}, ">=", 2)], upper=[1])
         assert lp.solve(p, mode="rational").status == lp.INFEASIBLE
         assert lp.solve(p, mode="float").status == lp.INFEASIBLE
 
     def test_statuses_agree_on_unbounded(self):
-        p = lp.LpProblem(num_cols=1, objective=[1], maximize=True)
+        p = prob(1, [], objective=[1], maximize=True)
         assert lp.solve(p, mode="rational").status == lp.UNBOUNDED
         assert lp.solve(p, mode="float").status == lp.UNBOUNDED
 
@@ -177,9 +183,8 @@ class TestVertexProperty:
     def test_degenerate_packing_vertex_is_sparse(self):
         # max sum theta, theta_j x^j <= x* with duplicated columns: a vertex
         # optimum concentrates mass instead of spreading it
-        p = lp.LpProblem(num_cols=4, objective=[1] * 4, maximize=True)
-        for i in range(3):
-            p.add_row({j: 1 for j in range(4)}, "<=", 1)
+        p = prob(4, [({j: 1 for j in range(4)}, "<=", 1)] * 3, objective=[1] * 4,
+                 maximize=True)
         for mode in ("rational", "float"):
             out = lp.solve(p, mode=mode)
             assert float(out.objective) == pytest.approx(1.0)
@@ -195,7 +200,7 @@ def linprog_oracle(problem):
     if problem.maximize:
         c = -c
     ub, b_ub, eq, b_eq = [], [], [], []
-    for coef, sense, rhs in problem.rows:
+    for coef, sense, rhs in row_triples(problem):
         dense = np.zeros(n)
         for i, v in coef.items():
             dense[i] = float(v)
@@ -214,18 +219,17 @@ def linprog_oracle(problem):
         method="highs-ds")
 
 
-def random_lp(rng, block=False):
+def random_lp(rng):
     """Mixed senses, equality rows, open upper bounds, either direction,
     explicit zero coefficients; rows tight at a point, so many are
-    degenerate.  A few are unbounded.  The rows are added one at a time
-    with add_row, or with block as one add_rows block."""
+    degenerate.  A few are unbounded."""
     n = rng.randint(2, 8)
-    p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
-    p.objective = [rng.choice([0, 1, 2, -1, Fraction(1, 3)]) for _ in range(n)]
-    p.lower = [rng.choice([0, 0, 1]) for _ in range(n)]
-    p.upper = [None if rng.random() < 0.3 else lo + rng.randint(0, 3) for lo in p.lower]
+    maximize = rng.random() < 0.5
+    objective = [rng.choice([0, 1, 2, -1, Fraction(1, 3)]) for _ in range(n)]
+    lower = [rng.choice([0, 0, 1]) for _ in range(n)]
+    upper = [None if rng.random() < 0.3 else lo + rng.randint(0, 3) for lo in lower]
     point = [lo + rng.randint(0, 2) if hi is None else rng.randint(lo, hi)
-             for lo, hi in zip(p.lower, p.upper)]
+             for lo, hi in zip(lower, upper)]
     rows = []
     for _ in range(rng.randint(1, 8)):
         coef = {i: Fraction(rng.randint(-3, 4), rng.randint(1, 3))
@@ -234,18 +238,7 @@ def random_lp(rng, block=False):
         lhs = sum(c * point[i] for i, c in coef.items())
         shift = rng.choice([0, 0, 1, 2]) if sense != "==" else 0
         rows.append((coef, sense, lhs - shift if sense == ">=" else lhs + shift))
-    if block:
-        code = {"<=": lp.LE, ">=": lp.GE, "==": lp.EQ}
-        start = [0]
-        for coef, _, _ in rows:
-            start.append(start[-1] + len(coef))
-        p.add_rows(start, [i for coef, _, _ in rows for i in coef],
-                   [v for coef, _, _ in rows for v in coef.values()],
-                   [code[sense] for _, sense, _ in rows], [rhs for _, _, rhs in rows])
-    else:
-        for row in rows:
-            p.add_row(*row)
-    return p
+    return prob(n, rows, lower, upper, objective, maximize)
 
 
 def reference_branching_lp(x, ell, cap, rows, pinned, fixed, mode):
@@ -259,56 +252,49 @@ def reference_branching_lp(x, ell, cap, rows, pinned, fixed, mode):
     col = {i: k for k, i in enumerate(active)}
     lam = [arity * a + j for j in range(arity)]
     one = Fraction(1) if exact else 1.0
-    prob = lp.LpProblem(
-        num_cols=arity * a + arity,
-        upper=[None] * (arity * a) + [one] * arity,
-        objective=[0] * (arity * a) + [1] * arity,
-        maximize=True,
-    )
-    prob.upper[col[ell]] = 0
+    triples = []
     for j in range(arity):
         off = j * a
         for row in rows:
             coef = {off + col[i]: c for i, c in zip(row.index, row.values) if i in col}
             coef[lam[j]] = -row.rhs
-            prob.add_row(coef, ">=", 0)
+            triples.append((coef, ">=", 0))
         for i in active:
-            prob.add_row({off + col[i]: 1, lam[j]: -cap}, "<=", 0)
+            triples.append(({off + col[i]: 1, lam[j]: -cap}, "<=", 0))
         for i in pinned:
-            prob.add_row({off + col[i]: 1, lam[j]: -1}, ">=", 0)
+            triples.append(({off + col[i]: 1, lam[j]: -1}, ">=", 0))
         for i, v in fixed.items():
             if i in col:
-                prob.add_row({off + col[i]: 1, lam[j]: -v}, "==", 0)
+                triples.append(({off + col[i]: 1, lam[j]: -v}, "==", 0))
     for j in range(1, arity):
-        prob.add_row({j * a + col[ell]: 1, lam[j]: -j}, "==", 0)
+        triples.append(({j * a + col[ell]: 1, lam[j]: -j}, "==", 0))
     for i in active:
-        prob.add_row({j * a + col[i]: 1 for j in range(arity)}, "<=", x[i])
-    prob.add_row({lam[j]: 1 for j in range(arity)}, "<=", 1)
-    return prob
+        triples.append(({j * a + col[i]: 1 for j in range(arity)}, "<=", x[i]))
+    triples.append(({lam[j]: 1 for j in range(arity)}, "<=", 1))
+    upper = [None] * (arity * a) + [one] * arity
+    upper[col[ell]] = 0
+    return prob(arity * a + arity, triples, upper=upper,
+                objective=[0] * (arity * a) + [1] * arity, maximize=True)
 
 
 def reference_prune_lp(nodes, x_star, supp, exact):
     """The pruning LP as binary.prune built it from row dicts, leaving out
     entries up to ZERO_TOL in float mode and only zeros in rational mode."""
     tol = 0 if exact else ZERO_TOL
-    prob = lp.LpProblem(num_cols=len(nodes), maximize=True, objective=[1] * len(nodes))
-    for i in supp:
-        coef = {j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > tol}
-        prob.add_row(coef, "<=", x_star[i])
-    return prob
+    triples = [({j: x[i] for j, (x, _) in enumerate(nodes) if x[i] > tol}, "<=", x_star[i])
+               for i in supp]
+    return prob(len(nodes), triples, objective=[1] * len(nodes), maximize=True)
 
 
 def reference_relaxation_lp(inst):
     """The relaxation LP as experiments._solve_relaxation built it from row
     dicts."""
-    prob = lp.LpProblem(
-        num_cols=inst.num_vars,
+    return prob(
+        inst.num_vars,
+        [(dict(zip(row.index, row.values)), ">=", row.rhs) for row in inst.rows],
         upper=[inst.var_upper] * inst.num_vars,
         objective=list(inst.objective) if inst.objective else [0] * inst.num_vars,
     )
-    for row in inst.rows:
-        prob.add_row(dict(zip(row.index, row.values)), ">=", row.rhs)
-    return prob
 
 
 def reference_cycle_lp(graph, cycle_idx, path_idx, c, cuts):
@@ -316,21 +302,22 @@ def reference_cycle_lp(graph, cycle_idx, path_idx, c, cuts):
     dicts, every cut's row again in every round."""
     col = {e: i for i, e in enumerate(cycle_idx)}
     path_set = set(path_idx)
-    prob = lp.LpProblem(num_cols=len(cycle_idx), upper=[2] * len(cycle_idx),
-                        objective=c)
+    triples = []
     for side in cuts:
         crossing = graph.cut_edges(side)
         fixed = sum(1 for e in crossing if e in path_set)
-        coef = {col[e]: 1 for e in crossing if e in col}
-        prob.add_row(coef, ">=", 2 - fixed)
-    return prob
+        triples.append(({col[e]: 1 for e in crossing if e in col}, ">=", 2 - fixed))
+    return prob(len(cycle_idx), triples, upper=[2] * len(cycle_idx), objective=c)
 
 
 def built_lps(monkeypatch, build):
-    """The LpProblems that build() hands to lp.solve."""
+    """Copies of the LpProblems that build() hands to lp.solve, taken at
+    each solve: a problem holds its builder's matrix, which the builder may
+    append to afterwards."""
     problems = []
     solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda p, mode: problems.append(p) or solve(p, mode))
+    monkeypatch.setattr(lp, "solve",
+                        lambda p, mode: problems.append(copy.deepcopy(p)) or solve(p, mode))
     build()
     monkeypatch.setattr(lp, "solve", solve)
     return problems
@@ -432,9 +419,10 @@ class TestBlockBuilders:
             for attr in ("objective", "lower", "upper"):
                 assert (_values(getattr(built, attr), exact)
                         == _values(getattr(ref, attr), exact)), attr
-            assert len(built.rows) == len(ref.rows)
-            for (coef, sense, rhs), (ref_coef, ref_sense, ref_rhs) in zip(built.rows,
-                                                                            ref.rows):
+            built_rows, ref_rows = row_triples(built), row_triples(ref)
+            assert len(built_rows) == len(ref_rows)
+            for (coef, sense, rhs), (ref_coef, ref_sense, ref_rhs) in zip(built_rows,
+                                                                            ref_rows):
                 assert sense == ref_sense
                 assert _values([rhs], exact) == _values([ref_rhs], exact)
                 assert set(coef) == set(ref_coef)
@@ -442,16 +430,25 @@ class TestBlockBuilders:
                         == _values(ref_coef.values(), exact))
 
 
-class TestOneRowStore:
-    """add_row is add_rows with a one-row block."""
+class TestInstanceRows:
+    """The relaxation and helper LPs hold the instance's own RowMatrix, and
+    no solve changes it."""
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_add_row_equals_one_block(self, seed):
-        one_by_one = random_lp(random.Random(seed))
-        block = random_lp(random.Random(seed), block=True)
-        assert one_by_one.csr() == block.csr()
-        assert list(one_by_one.rows) == list(block.rows)
-        assert simplex.solve_rational(one_by_one) == simplex.solve_rational(block)
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_lps_hold_the_instance_rows(self, monkeypatch, mode):
+        inst = make_instance(3, [({0: 1, 1: 1}, 1), ({1: 1, 2: -1}, 0, "<="),
+                                 ({0: Fraction(1, 2), 2: 1}, Fraction(1, 3))])
+        rows = inst.rows
+        before = [list(rows.start), list(rows.index), list(rows.values), list(rows.rhs)]
+        relaxation = domtoip.relaxation_lp(inst)
+        assert relaxation.rows is rows
+        assert lp.solve(relaxation, mode).status == lp.OPTIMAL
+        solved = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda p, mode: solved.append(p) or solve(p, mode))
+        assert domtoip._helper_by_lp(inst, [1, 1, 1], [], 0, mode).status == lp.OPTIMAL
+        assert [p.rows for p in solved] == [rows] and solved[0].rows is rows
+        assert [rows.start, rows.index, rows.values, rows.rhs] == before
 
 
 def reference_helper_by_lp(inst, x_cur, finalized, target, mode):
@@ -465,16 +462,11 @@ def reference_helper_by_lp(inst, x_cur, finalized, target, mode):
         lower[j] = x_cur[j]
     active = [j for j in range(inst.num_vars) if not is_zero(upper[j])]
     col_of = {j: k for k, j in enumerate(active)}
-    prob = lp.LpProblem(
-        num_cols=len(active),
-        lower=[lower[j] for j in active],
-        upper=[upper[j] for j in active],
-        objective=[1 if j == target else 0 for j in active],
-    )
-    for row in inst.rows:
-        coef = {col_of[i]: c for i, c in zip(row.index, row.values) if i in col_of}
-        prob.add_row(coef, ">=", row.rhs)
-    out = lp.solve(prob, mode=mode)
+    triples = [({col_of[i]: c for i, c in zip(row.index, row.values) if i in col_of},
+                ">=", row.rhs) for row in inst.rows]
+    out = lp.solve(prob(len(active), triples, lower=[lower[j] for j in active],
+                        upper=[upper[j] for j in active],
+                        objective=[1 if j == target else 0 for j in active]), mode=mode)
     if out.status == lp.OPTIMAL and out.solution is not None:
         full = [zero] * inst.num_vars
         for j, k in col_of.items():
@@ -562,15 +554,13 @@ class TestHighsMatchesLinprog:
             assert out.solution == expected.x.tolist()
 
     def test_infeasible_is_classified_exactly(self):
-        p = lp.LpProblem(num_cols=2, upper=[1, 1])
-        p.add_row({0: 1, 1: 1}, ">=", 3)
+        p = prob(2, [({0: 1, 1: 1}, ">=", 3)], upper=[1, 1])
         assert linprog_oracle(p).status == 2
         out = lp.solve(p, mode="float")
         assert (out.status, out.mode) == (lp.INFEASIBLE, "rational")
 
     def test_unbounded_is_classified_exactly(self):
-        p = lp.LpProblem(num_cols=2, objective=[1, -1], maximize=True)
-        p.add_row({0: 1, 1: -1}, ">=", 0)
+        p = prob(2, [({0: 1, 1: -1}, ">=", 0)], objective=[1, -1], maximize=True)
         assert linprog_oracle(p).status == 3
         out = lp.solve(p, mode="float")
         assert (out.status, out.mode) == (lp.UNBOUNDED, "rational")
@@ -612,7 +602,7 @@ def colwise_highs(problem):
     """HiGHS's answer to linprog's model of the problem, with the matrix
     passed column-wise, row indices ascending in each column: (model
     status, x, A x), x and A x None unless optimal."""
-    rows = list(problem.rows)
+    rows = row_triples(problem)
     rows = [r for r in rows if r[1] != "=="] + [r for r in rows if r[1] == "=="]
     columns = [[] for _ in range(problem.num_cols)]
     row_lower, row_upper = [], []
@@ -658,20 +648,20 @@ def small_lps(draw):
     so most LPs are feasible and some are not."""
     n = draw(st.integers(1, 5))
     num = st.integers(-3, 3)
-    p = lp.LpProblem(num_cols=n, maximize=draw(st.booleans()),
-                     objective=draw(st.lists(num, min_size=n, max_size=n)),
-                     lower=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    p.upper = [draw(st.sampled_from([None, math.inf, lo, lo + 1, lo + 2]))
-               for lo in p.lower]
+    maximize = draw(st.booleans())
+    objective = draw(st.lists(num, min_size=n, max_size=n))
+    lower = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    upper = [draw(st.sampled_from([None, math.inf, lo, lo + 1, lo + 2])) for lo in lower]
     point = [lo + draw(st.integers(0, 2 if hi in (None, math.inf) else hi - lo))
-             for lo, hi in zip(p.lower, p.upper)]
+             for lo, hi in zip(lower, upper)]
+    rows = []
     for _ in range(draw(st.integers(0, 6))):
         columns = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
         coef = {j: draw(num) for j in columns}
         sense = draw(st.sampled_from(["<=", ">=", "=="]))
         shift = draw(st.integers(-1, 2)) * (-1 if sense == ">=" else 1)
-        p.add_row(coef, sense, sum(c * point[j] for j, c in coef.items()) + shift)
-    return p
+        rows.append((coef, sense, sum(c * point[j] for j, c in coef.items()) + shift))
+    return prob(n, rows, lower, upper, objective, maximize)
 
 
 class TestRowwiseHandOff:
@@ -708,13 +698,11 @@ class TestReusedSolver:
 
     def test_sequence_matches_fresh_solver(self, monkeypatch):
         lp.solve(triangle_problem(), mode="float")  # loads HiGHS
-        infeasible = lp.LpProblem(num_cols=1, upper=[1])
-        infeasible.add_row({0: 1}, ">=", 2)
-        unbounded = lp.LpProblem(num_cols=1, objective=[1], maximize=True)
+        infeasible = prob(1, [({0: 1}, ">=", 2)], upper=[1])
+        unbounded = prob(1, [], objective=[1], maximize=True)
         # a coefficient HiGHS refuses as too large: no optimum, so the
         # exact backend answers
-        model_error = lp.LpProblem(num_cols=2, upper=[1, 1], objective=[1, 1])
-        model_error.add_row({0: 1e16, 1: 1}, ">=", 1)
+        model_error = prob(2, [({0: 1e16, 1: 1}, ">=", 1)], upper=[1, 1], objective=[1, 1])
         expected = [
             (infeasible, lp.highs.HighsModelStatus.kInfeasible, lp.INFEASIBLE, "rational"),
             (unbounded, lp.highs.HighsModelStatus.kUnbounded, lp.UNBOUNDED, "rational"),

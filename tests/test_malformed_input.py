@@ -9,6 +9,9 @@ short) must exit 1.  Any other corruption (a node replaced by arbitrary
 JSON, a list entry deleted) may also give a valid input, so it must exit
 0, 1 or 2, and exit 1 only with a single ``error:`` line.
 
+A PACE graph file (``fdt gen vc --pace``) that is not one also exits 1,
+with its path and, where there is one, the bad line in the message.
+
 Numbers in the arbitrary JSON stay small: a huge vertex count is valid
 input that asks for a huge graph, which is not what these tests are about.
 The draws are derandomized, so every run feeds the same files.
@@ -258,3 +261,20 @@ def test_float_certificate_with_nan_is_refused(valid_docs):
     code, out, err = run(valid_docs, "verify", "certificate", json.dumps(cert))
     assert_data_error(code, out, err)
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c a header with one number\np 5\n1 2\n", r":2: expected 'p \.\.\. n m', got 'p 5\\n'"),
+    ("p td 3 2\n1 2\n1 x\n", r":3: 'x' is not an integer"),
+    ("p td n 2\n1 2\n", r":1: 'n' is not an integer"),
+    ("", r": no header and no edges"),
+    ("c only a comment\n", r": no header and no edges"),
+])
+def test_bad_pace_file_is_named(tmp_path, text, message):
+    # these used to print int()'s or max()'s message without the file
+    path = tmp_path / "bad.gr"
+    path.write_text(text)
+    code, out, err = run_cli(["gen", "vc", "--pace", str(path),
+                              "--out", str(tmp_path / "vc.json")])
+    assert_data_error(code, out, err)
+    assert re.match(rf"error: {re.escape(str(path))}{message}", err), err

@@ -99,6 +99,15 @@ class TestRowMatrix:
         for rows in (changed_coef, changed_rhs, extra_row):
             assert self.matrix(rows) != same
 
+    def test_append_drops_the_covering_answer(self):
+        # the instance used to cache covering itself, so a negative row
+        # appended after the first read still read as covering
+        inst = make_instance(2, [({0: 1, 1: 1}, 1)])
+        assert inst.covering
+        inst.rows.append([0, 1], [-1, -1], -1)
+        assert not inst.covering and not inst.rows.covering
+        assert inst.rows == self.matrix([([0, 1], [1, 1], 1), ([0, 1], [-1, -1], -1)])
+
 
 class TestNumbers:
     def test_as_fraction_parses_fraction_strings(self):

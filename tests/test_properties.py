@@ -27,6 +27,7 @@ from fdt.model import (BINARY, ZEROONETWO, Certificate, SubtourPoint,
                        row_violations, verify_certificate, verify_certificate_2ec)
 from fdt.simplex import solve_rational
 from fdt.twoec import fdt_2ec
+from lp_rows import prob, row_triples
 
 E12 = Fraction(1, 10**12)  # far inside every float tolerance
 
@@ -261,13 +262,14 @@ def bounded_lps(draw):
     slack at a point of the box, so that most draws are feasible; every
     number has a denominator of at most 12."""
     n = draw(st.integers(1, 6))
-    problem = lp.LpProblem(num_cols=n, maximize=draw(st.booleans()))
-    problem.objective = draw(st.lists(rationals(-5, 5), min_size=n, max_size=n))
-    problem.lower = draw(st.lists(rationals(-2, 1), min_size=n, max_size=n))
-    problem.upper = [lo + w for lo, w in zip(
-        problem.lower, draw(st.lists(rationals(0, 3), min_size=n, max_size=n)))]
+    maximize = draw(st.booleans())
+    objective = draw(st.lists(rationals(-5, 5), min_size=n, max_size=n))
+    lower = draw(st.lists(rationals(-2, 1), min_size=n, max_size=n))
+    upper = [lo + w for lo, w in zip(
+        lower, draw(st.lists(rationals(0, 3), min_size=n, max_size=n)))]
     point = [lo + (hi - lo) * t for lo, hi, t in zip(
-        problem.lower, problem.upper, draw(st.lists(rationals(0, 1), min_size=n, max_size=n)))]
+        lower, upper, draw(st.lists(rationals(0, 1), min_size=n, max_size=n)))]
+    rows = []
     for _ in range(draw(st.integers(1, 6))):
         coef = draw(st.dictionaries(st.integers(0, n - 1), rationals(-4, 4),
                                     min_size=1, max_size=n))
@@ -277,8 +279,8 @@ def bounded_lps(draw):
         sense = draw(st.sampled_from([">=", "<=", "=="]))
         lhs = sum(c * point[i] for i, c in coef.items())
         slack = 0 if sense == "==" else draw(rationals(0, 2))
-        problem.add_row(coef, sense, lhs - slack if sense == ">=" else lhs + slack)
-    return problem
+        rows.append((coef, sense, lhs - slack if sense == ">=" else lhs + slack))
+    return prob(n, rows, lower, upper, objective, maximize)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -315,7 +317,7 @@ def test_exact_optimum_is_basic(problem):
     the pruning LP relies on."""
     status, x, _ = solve_rational(problem)
     assume(status == "optimal")
-    rows = problem.rows
+    rows = row_triples(problem)
     m = len(rows)
     vectors = [[Fraction(coef.get(j, 0)) for coef, _, _ in rows]
                for j in range(problem.num_cols)

@@ -5,14 +5,7 @@ import pytest
 
 from fdt import lp, simplex
 from fdt.simplex import _Tableau, solve_rational
-
-
-def prob(num_cols, rows, lower=None, upper=None, objective=None, maximize=False):
-    p = lp.LpProblem(num_cols=num_cols, lower=lower, upper=upper,
-                     objective=objective, maximize=maximize)
-    for coef, sense, rhs in rows:
-        p.add_row(coef, sense, rhs)
-    return p
+from lp_rows import prob, row_triples
 
 
 class TestKnownOptima:
@@ -185,18 +178,20 @@ class TestFuzzAgainstFloatBackend:
         rng = random.Random(40)
         for trial in range(150):
             n = rng.randint(1, 6)
-            p = lp.LpProblem(num_cols=n, maximize=rng.random() < 0.5)
-            p.objective = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-            p.lower = [Fraction(rng.randint(0, 1)) for _ in range(n)]
-            p.upper = [None if rng.random() < 0.3 else Fraction(rng.randint(2, 4))
-                       for _ in range(n)]
+            maximize = rng.random() < 0.5
+            objective = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+            lower = [Fraction(rng.randint(0, 1)) for _ in range(n)]
+            upper = [None if rng.random() < 0.3 else Fraction(rng.randint(2, 4))
+                     for _ in range(n)]
+            rows = []
             for _ in range(rng.randint(1, 7)):
                 coef = {i: Fraction(rng.randint(-4, 4))
                         for i in rng.sample(range(n), rng.randint(1, n))}
                 coef = {i: c for i, c in coef.items() if c}
                 if coef:
-                    p.add_row(coef, rng.choice([">=", "<=", "=="]),
-                              Fraction(rng.randint(-6, 6)))
+                    rows.append((coef, rng.choice([">=", "<=", "=="]),
+                                 Fraction(rng.randint(-6, 6))))
+            p = prob(n, rows, lower, upper, objective, maximize)
             r = lp.solve(p, mode="rational")
             f = lp.solve(p, mode="float")
             assert r.status == f.status, trial
@@ -208,7 +203,7 @@ class TestFuzzAgainstFloatBackend:
             for j in range(n):
                 assert p.lower[j] <= x[j]
                 assert p.upper[j] is None or x[j] <= p.upper[j]
-            for coef, sense, rhs in p.rows:
+            for coef, sense, rhs in row_triples(p):
                 lhs = sum(c * x[i] for i, c in coef.items())
                 if sense == ">=":
                     assert lhs >= rhs
