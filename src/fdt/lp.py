@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import dataclass
 from math import inf, sqrt
+from operator import gt
 
 from . import simplex
 from .simplex import EQ, GE, LE
@@ -85,10 +86,10 @@ def solve(problem, mode):
     every lower bound and objective coefficient must be a finite number,
     and every upper bound a number no smaller than its lower bound, +inf or
     None (both unbounded), not NaN or -inf.  The rows must be well-formed
-    CSR lists, with every entry on a column in [0, num_cols), and sense one
-    code (LE, GE or EQ) per row.  A row with two nonzero entries on one
-    column is a ValueError in both modes (HiGHS refuses the model, and the
-    exact backend raises).
+    CSR lists (start from 0 to len(index), never decreasing), with every
+    entry on a column in [0, num_cols), and sense one code (LE, GE or EQ)
+    per row.  A row with two nonzero entries on one column is a ValueError
+    in both modes (HiGHS refuses the model, and the exact backend raises).
     """
     for name in ("lower", "upper", "objective"):
         if len(getattr(problem, name)) != problem.num_cols:
@@ -117,6 +118,9 @@ def solve(problem, mode):
         raise ValueError(f"start begins at {start[0]}, not 0")
     if start[-1] != len(index):
         raise ValueError(f"start ends at {start[-1]} for {len(index)} index entries")
+    if any(map(gt, start, start[1:])):
+        row = next(r for r in range(m) if start[r] > start[r + 1])
+        raise ValueError(f"row {row} ends before it starts")
     if len(rows.values) != len(index):
         raise ValueError(f"values has {len(rows.values)} entries for "
                          f"{len(index)} index entries")
@@ -137,8 +141,8 @@ _RESULT_TOL = sqrt(1e-9) * 10
 
 
 def _solve_float(problem):
-    """The HiGHS model linprog builds: <= rows, then >= rows negated, in
-    their order, with row bounds [-inf, rhs]; equality rows last with
+    """The HiGHS model linprog builds: the inequality rows in their order,
+    >= rows negated, with row bounds [-inf, rhs]; equality rows last with
     lhs = rhs; zero entries dropped; the cost negated when maximising.  The
     matrix goes to HiGHS row-wise, each row's entries in their order; HiGHS
     transposes it into the column-wise matrix, row indices ascending, that

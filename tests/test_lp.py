@@ -83,6 +83,10 @@ class TestInputChecks:
         (RowMatrix([1, 2], [0, 1], [1, 1], [1]), [lp.GE], "start begins at 1, not 0"),
         (RowMatrix([0, 1], [0, 1], [1, 1], [1]), [lp.GE],
          "start ends at 1 for 2 index entries"),
+        # used to raise numpy's "repeats may not contain negative values" in
+        # float mode and come back infeasible in rational mode
+        (RowMatrix([0, 2, 1, 2], [0, 1], [1, 1], [1, 1, 1]), [lp.GE] * 3,
+         "row 1 ends before it starts"),
         # used to come back infeasible in rational mode and raise numpy's
         # "iterator too short" in float mode
         (RowMatrix([0, 2], [0, 1], [1], [1]), [lp.GE],
