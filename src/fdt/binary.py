@@ -409,7 +409,7 @@ def _check_level(L, x_star, branched, t, old_total, new_total, tol):
             if tol < x[i] < 1 - tol:
                 raise InvariantError(f"coordinate {i} has value {float(x[i])} in (0, 1)")
     for i, bound in enumerate(x_star):
-        mass = sum(w * x[i] for x, w in L)
+        mass = sum(w * x[i] for x, w in L if x[i])
         if mass > bound + tol:
             raise InvariantError(
                 f"mass exceeds base point at {i}: {float(mass)} > {float(bound)}")

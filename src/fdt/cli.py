@@ -11,6 +11,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from .binary import InvariantError, fdt_dive, fdt_tree
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractional
@@ -97,11 +98,8 @@ def cmd_gen(args):
         if args.pace:
             graph = read_pace_graph(args.pace)
         else:
-            import networkx as nx  # slow to import, and only this draw needs it
             _check_gnp(args)
-            n, p = args.n, args.p
-            g = nx.gnp_random_graph(n, p, seed=args.seed)
-            graph = make_graph(n, list(g.edges()), require_connected=False)
+            graph = _gnp(args.n, args.p, args.seed)
         write_json(instance_to_dict(gen_vc(graph), rational=args.rational), args.out)
     elif args.family == "tap":
         if args.count > 1 or len(args.levels) > 1:
@@ -169,16 +167,22 @@ def _check_gnp(args):
         raise ValueError(f"--p must be in [0, 1], got {args.p}")
 
 
+def _gnp(n, p, seed):
+    """A G(n, p) draw: each vertex pair, in lexicographic order, is an edge
+    when the next random.Random(seed) number is below p (networkx's
+    gnp_random_graph draws the same edges)."""
+    rng = random.Random(seed)
+    return make_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p],
+                      require_connected=False)
+
+
 def cmd_bench_vc(args):
-    import networkx as nx  # slow to import, and only the draws need it
     _check_gnp(args)
     graphs = []
     for path in args.pace or []:
         graphs.append((os.path.basename(path), read_pace_graph(path)))
     for rep in range(args.count):
-        g = nx.gnp_random_graph(args.n, args.p, seed=args.seed + rep)
-        graphs.append((f"gnp-{args.n}-{rep}",
-                       make_graph(args.n, list(g.edges()), require_connected=False)))
+        graphs.append((f"gnp-{args.n}-{rep}", _gnp(args.n, args.p, args.seed + rep)))
     report = run_vc_experiment(graphs, seed=args.seed, mode=_mode(args))
     return _emit_report(report, args)
 

@@ -29,7 +29,8 @@ def gen_vc(graph, costs=None, name="vc"):
 
 def read_pace_graph(path):
     """Plain edge-list graph file: optional 'p ... n m' header, '#'/'c'
-    comment lines, then one 1-based edge per line."""
+    comment lines, then one 1-based edge per line.  A bad edge is named by
+    its line, with the file's own vertex numbers."""
     n = None
     edges = []
 
@@ -47,11 +48,22 @@ def read_pace_graph(path):
             if tok[0] == "p":
                 if len(tok) < 3:
                     raise GraphError(f"{path}:{lineno}: expected 'p ... n m', got {line!r}")
+                if edges:
+                    raise GraphError(f"{path}:{lineno}: header after the first edge")
                 n = number(tok[-2])
+                if n < 0:
+                    raise GraphError(f"{path}:{lineno}: vertex count {n} is negative")
                 continue
             if len(tok) != 2:
                 raise GraphError(f"{path}:{lineno}: expected an edge, got {line!r}")
-            edges.append((number(tok[0]) - 1, number(tok[1]) - 1))
+            u, v = number(tok[0]), number(tok[1])
+            for w in (u, v):
+                if w < 1 or n is not None and w > n:
+                    where = "below 1" if n is None else f"outside [1, {n}]"
+                    raise GraphError(f"{path}:{lineno}: vertex {w} {where}")
+            if u == v:
+                raise GraphError(f"{path}:{lineno}: edge {u} {v} is a self-loop")
+            edges.append((u - 1, v - 1))
     if n is None:
         if not edges:
             raise GraphError(f"{path}: no header and no edges")

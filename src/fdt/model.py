@@ -334,7 +334,7 @@ def row_violations(x, rows, tol):
     return missed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Convex combination  sum_i weights[i] * solutions[i] <= factor * base_point."""
 
@@ -473,12 +473,16 @@ def check_2ec(graph, multiplicity):
 
 
 def base_point(x, n, cap, ar, tol):
-    """x in ar's numbers, once it lies in [0, cap]^n to within tol; else ValidationError."""
+    """x in ar's numbers, once it lies in [0, cap]^n to within tol; else
+    ValidationError.  A tuple already in ar's numbers is returned as it is,
+    so that certificates share their caller's point."""
     if len(x) != n:
         raise ValidationError(f"x* has length {len(x)}, expected {n}")
     problems = box_violations(x, cap, tol)
     if problems:
         raise ValidationError(f"x*: {problems[0]}")
+    if type(x) is tuple and all(type(v) is ar.number for v in x):
+        return x
     return tuple(map(ar.number, x))
 
 

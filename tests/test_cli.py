@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,17 @@ class TestGen:
         inst = load_instance(out)
         assert inst.num_vars == 6
 
+    def test_vc_random_draws_networkx_gnp_without_networkx(self, tmp_path, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        for n, p, seed in ((9, 0.4, 5), (7, 0.0, 1), (6, 1.0, 2), (12, 0.15, 0)):
+            edges = list(nx.gnp_random_graph(n, p, seed=seed).edges())
+            with monkeypatch.context() as m:
+                m.setitem(sys.modules, "networkx", None)  # any import of it fails
+                out = tmp_path / f"vc-{n}.json"
+                assert main(["gen", "vc", "--n", str(n), "--p", str(p), "--seed", str(seed),
+                             "--out", str(out)]) == 0
+            assert [tuple(row.index) for row in load_instance(out).rows] == edges
+
     def test_tap_batch_manifest(self, tmp_path):
         prefix = str(tmp_path / "b")
         assert main(["gen", "tap", "--levels", "3", "4", "--count", "2",
@@ -73,7 +85,7 @@ class TestGen:
         path.write_text("p td -2 0\n")
         out = tmp_path / "vc.json"
         assert main(["gen", "vc", "--pace", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: vertex count -2 is negative\n"
+        assert capsys.readouterr().err == f"error: {path}:1: vertex count -2 is negative\n"
 
     def test_cv_enumerate_writes_every_class(self, tmp_path, capsys):
         prefix = str(tmp_path / "e")

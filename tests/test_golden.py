@@ -34,10 +34,16 @@ than half.  The simplex no longer returns a basis or duals; their keys were
 dropped from golden_simplex.json and from golden_rational.json's simplex
 records.
 
+test_rational_2ec_tree_on_a_10_cycle_point pins the rational 2EC tree on
+LPs the size of real ones (about 140 rows; the K4 and cv8 runs elsewhere
+are small), by constants in this file recorded from the dense-row simplex
+before each row became a dict of its nonzeros.
+
 Regenerate the files (``PYTHONPATH=src python tests/test_golden.py``) only
 when a change of pivot rule, LP model or cut order is intended.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -53,7 +59,7 @@ from fdt.binary import fdt_tree
 from fdt.experiments import _solve_relaxation
 from fdt.generators import gen_cv, gen_vc
 from fdt.graphs import make_graph
-from fdt.model import certificate_to_dict
+from fdt.model import SubtourPoint, certificate_to_dict
 from fdt.simplex import solve_rational
 from fdt.twoec import fdt_2ec
 from lp_rows import prob, row_triples
@@ -68,6 +74,15 @@ GOLDEN_LPS = Path(__file__).with_name("golden_simplex.json")
 # over the rational tree on golden_graphs() (relaxations excluded)
 ATLAS_PIVOTS = 103
 TREE_PIVOTS = 215
+
+# the rational 2EC tree on golden_points()'s first 10-cycle point, read
+# through limit_denominator(10**4): its LPs have about 140 rows, the size of
+# real ones.  (factor, k), digests of the weights and of the solutions, and
+# _Tableau._pivot calls, recorded from the dense-row simplex.
+CV10_CERTIFICATE = (Fraction(8, 7), 6)
+CV10_WEIGHTS = "d2656e11f5076b29"
+CV10_SOLUTIONS = "6a8c264d9a54a53d"
+CV10_PIVOTS = 3614
 
 
 def _random_lp(rng):
@@ -352,6 +367,29 @@ def test_pivot_counts(monkeypatch):
     for inst, x in starts:
         fdt_tree(inst, x, mode="rational")
     assert pivots[0] == TREE_PIVOTS
+
+
+def _digest(values):
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()[:16]
+
+
+def test_rational_2ec_tree_on_a_10_cycle_point(monkeypatch):
+    name, point = golden_points()[1]
+    assert name == "cv10-0"
+    x = tuple(Fraction(v).limit_denominator(10**4) for v in point.x)
+    pivots = [0]
+    real = simplex._Tableau._pivot
+
+    def counting(self, *args):
+        pivots[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(simplex._Tableau, "_pivot", counting)
+    cert = fdt_2ec(SubtourPoint(point.graph, x), mode="rational")
+    assert (cert.factor, cert.k) == CV10_CERTIFICATE
+    assert _digest([str(w) for w in cert.weights]) == CV10_WEIGHTS
+    assert _digest([[int(m) for m in z] for z in cert.solutions]) == CV10_SOLUTIONS
+    assert pivots[0] == CV10_PIVOTS
 
 
 @pytest.mark.parametrize("name,point", golden_points(),

@@ -269,6 +269,13 @@ def test_float_certificate_with_nan_is_refused(valid_docs):
     ("p td n 2\n1 2\n", r":1: 'n' is not an integer"),
     ("", r": no header and no edges"),
     ("c only a comment\n", r": no header and no edges"),
+    # vertices as the file numbers them, from 1
+    ("p td 3 2\n0 1\n", r":2: vertex 0 outside \[1, 3\]"),
+    ("p td 3 2\n1 5\n", r":2: vertex 5 outside \[1, 3\]"),
+    ("1 2\n-1 2\n", r":2: vertex -1 below 1"),
+    ("1 2\n2 2\n", r":2: edge 2 2 is a self-loop"),
+    ("1 2\np td 3 1\n", r":2: header after the first edge"),
+    ("p td -2 1\n1 2\n", r":1: vertex count -2 is negative"),
 ])
 def test_bad_pace_file_is_named(tmp_path, text, message):
     # these used to print int()'s or max()'s message without the file

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from fdt import (SubtourPoint, dom_to_ip, fdt_2ec, fdt_dive, fdt_tree, gen_vc, helper_lp,
                  make_graph)
 from fdt.model import (BINARY, FLOAT, RATIONAL, ZEROONETWO, Certificate, RowMatrix,
-                       ValidationError, arithmetic, as_fraction, certificate_from_dict,
+                       ValidationError, arithmetic, as_fraction, base_point,
+                       certificate_from_dict,
                        certificate_to_dict,
                        check_integer_feasible, instance_from_dict,
                        instance_to_dict, is_integral, is_zero, load_instance,
@@ -344,6 +346,23 @@ class TestCertificate:
         cert = Certificate(Fraction(3), (Fraction(1),), ((1,),), (Fraction(1, 2),))
         ok, report = verify_certificate(cert, inst, tol=0)
         assert ok, report
+
+    def test_certificate_has_slots_and_replace_works(self):
+        cert = self.make_cert()
+        assert not hasattr(cert, "__dict__")
+        assert replace(cert, factor=Fraction(2)).factor == Fraction(2)
+        assert replace(cert, factor=Fraction(2)).weights is cert.weights
+
+    def test_base_point_shares_a_tuple_already_in_the_mode(self):
+        x = (Fraction(1, 2), Fraction(0), Fraction(1))
+        assert base_point(x, 3, 1, RATIONAL, 0) is x
+        for other in ([Fraction(1, 2), Fraction(0), Fraction(1)], (Fraction(1, 2), 0, 1)):
+            y = base_point(other, 3, 1, RATIONAL, 0)
+            assert y is not other and type(y) is tuple and y == x
+            assert all(type(v) is Fraction for v in y)
+        floats = (0.5, 0.0, 1.0)
+        assert base_point(floats, 3, 1, FLOAT, 1e-9) is floats
+        assert base_point((0.5, 0, 1), 3, 1, FLOAT, 1e-9) == floats
 
     def test_certificate_round_trip(self):
         cert = self.make_cert()

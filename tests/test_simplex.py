@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -104,9 +105,9 @@ def start_basis(problem):
     tab = _Tableau(problem)
     ncol = tab.n
     for i, j in enumerate(tab.basis):
-        assert tab.N[i][ncol] >= 0
+        assert tab.B[i] >= 0
         if j < ncol:
-            assert tab.N[i][j] == tab.D[i]
+            assert tab.N[i].get(j, 0) == tab.D[i]
     return ["artificial" if j >= ncol else "slack" for j in tab.basis]
 
 
@@ -218,7 +219,7 @@ def reduced_costs(tab, cost, art_cost):
     the constraint rows, as one Fraction per column, right-hand side left
     out; cost has one Fraction per column, art_cost is every artificial's."""
     basic_cost = [cost[j] if j < tab.n else art_cost for j in tab.basis]
-    return [cost[j] - sum(cb * Fraction(tab.N[i][j], tab.D[i])
+    return [cost[j] - sum(cb * Fraction(tab.N[i].get(j, 0), tab.D[i])
                           for i, cb in enumerate(basic_cost) if cb)
             for j in range(tab.n)]
 
@@ -227,7 +228,11 @@ class CheckedTableau(_Tableau):
     """A tableau that checks its reduced-cost rows against reduced_costs at
     the start of each run and after every pivot, drive_out_artificials'
     included: phase 2's row (the one after the constraint rows) always,
-    phase 1's (the last) while it is there.  checks counts them by phase."""
+    phase 1's (the last) while it is there.  checks counts them by phase.
+    At the same points it checks the sparse rows themselves: no row stores
+    a zero, every denominator is positive, every row is in lowest terms,
+    and a basic structural or slack column's entry equals its row's
+    denominator."""
 
     checks = {1: 0, 2: 0}
 
@@ -238,9 +243,21 @@ class CheckedTableau(_Tableau):
         self.phase2_cost = cost + [Fraction(0)] * (self.n - len(cost))
 
     def _row(self, i):
-        return [Fraction(v, self.D[i]) for v in self.N[i][:self.n]]
+        return [Fraction(self.N[i].get(j, 0), self.D[i]) for j in range(self.n)]
+
+    def check_rows(self):
+        assert len(self.N) == len(self.B) == len(self.D)
+        for i, (Ni, b, d) in enumerate(zip(self.N, self.B, self.D)):
+            assert 0 not in Ni.values(), i
+            assert all(0 <= j < self.n for j in Ni), i
+            assert d > 0, i
+            assert gcd(d, b, *Ni.values()) == 1, i
+        for i, j in enumerate(self.basis):
+            if j < self.n:
+                assert self.N[i].get(j) == self.D[i], (i, j)
 
     def check(self):
+        self.check_rows()
         assert self._row(self.m) == reduced_costs(self, self.phase2_cost, 0)
         phase = 2
         if len(self.N) == self.m + 2:
@@ -294,3 +311,56 @@ class TestCarriedReducedCosts:
         assert statuses == {"optimal", "infeasible", "unbounded"}
         # the start of each run plus many pivots in each phase
         assert min(CheckedTableau.checks.values()) > 300, CheckedTableau.checks
+
+
+def random_int_lp(rng):
+    """A seeded LP whose rows hold nonzero ints on columns with int bounds
+    (negative lower bounds included), with int or fractional right-hand
+    sides."""
+    n = rng.randint(1, 6)
+    lower = [rng.randint(-2, 1) for _ in range(n)]
+    upper = [None if rng.random() < 0.3 else lo + rng.randint(0, 3) for lo in lower]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coef = {i: rng.choice([-3, -2, -1, 1, 2, 4])
+                for i in rng.sample(range(n), rng.randint(1, n))}
+        rhs = Fraction(rng.randint(-6, 12), rng.choice([1, 1, 2, 3, 6]))
+        rows.append((coef, rng.choice([">=", "<=", "=="]), rhs))
+    return prob(n, rows, lower=lower, upper=upper,
+                objective=[rng.randint(-3, 3) for _ in range(n)], maximize=rng.random() < 0.5)
+
+
+class TestIntRows:
+    """Rows of nonzero ints on columns with int bounds are read as they
+    are, with no common-denominator pass; they give the tableau that pass
+    gives."""
+
+    def test_same_tableau_as_the_fraction_rows(self, monkeypatch):
+        passes = [0]
+        real = simplex._common_denominator
+
+        def counting(ratios):
+            passes[0] += 1
+            return real(ratios)
+
+        monkeypatch.setattr(simplex, "_common_denominator", counting)
+        rng = random.Random(31)
+        statuses = set()
+        for _ in range(200):
+            ints = random_int_lp(rng)
+            fractions = prob(ints.num_cols,
+                             [({i: Fraction(c) for i, c in coef.items()}, sense, rhs)
+                              for coef, sense, rhs in row_triples(ints)],
+                             lower=ints.lower, upper=ints.upper,
+                             objective=ints.objective, maximize=ints.maximize)
+            passes[0] = 0
+            fast = _Tableau(ints)
+            assert passes[0] == 1  # the cost row's only
+            slow = _Tableau(fractions)
+            assert passes[0] == 2 + len(ints.sense)
+            assert (fast.N, fast.B, fast.D, fast.basis) == (slow.N, slow.B, slow.D, slow.basis)
+            outcome = solve_rational(ints)
+            assert outcome == solve_rational(fractions)
+            statuses.add(outcome[0])
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
