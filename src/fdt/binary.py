@@ -219,22 +219,19 @@ def fdt_tree(inst, x_star, mode="float", branch_order=None, trace=None):
     order that misses a coordinate of spp(x*), or holds one outside
     [0, n), is a ValueError, raised before any LP.  A float run that breaks
     an invariant is retried once in rational mode."""
+    return _tree(lambda ar: _rules(inst, x_star, ar, branch_order), prune, mode, trace,
+                 inst.name)
 
-    def run(ar):
-        x0 = _base_point(inst, x_star, ar)
-        supp = support(x0)
-        order = _branch_order(branch_order, supp, inst.num_vars)
-        return _decompose(
-            x0, order, ar, trace,
-            settle=lambda x, coord: _settle(x, coord, ar),
-            branch=lambda x, depth: branch_lpc(inst, x, order[depth],
-                                               integral_prefix=order[:depth], mode=ar.name),
-            prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
-            finish=lambda x: _leaf_solution(inst, x, ar.name),
-            name=inst.name,
-        )
 
-    return exact_on_failure(run, mode, trace)
+def _rules(inst, x_star, ar, branch_order=None):
+    """The binary tree's rules in ar's numbers, once x* is known to lie in P:
+    (x*, order, settle, branch, finish), as _tree reads them."""
+    x0 = _base_point(inst, x_star, ar)
+    order = _branch_order(branch_order, support(x0), inst.num_vars)
+    return (x0, order, lambda x, coord: _settle(x, coord, ar),
+            lambda x, depth: branch_lpc(inst, x, order[depth],
+                                        integral_prefix=order[:depth], mode=ar.name),
+            lambda x: _leaf_solution(inst, x, ar.name))
 
 
 def _branch_order(branch_order, supp, n):
@@ -252,20 +249,21 @@ def _branch_order(branch_order, supp, n):
     return list(dict.fromkeys(filter(set(supp).__contains__, branch_order)))
 
 
-def exact_on_failure(run, mode, trace):
-    """run(ar) in mode's Arithmetic.  A float run that breaks an invariant runs
-    once more in rational mode, premise check included, after dropping the
-    records it added to trace, so that trace describes the result."""
+def exact_on_failure(start, run, mode, trace):
+    """run(start(ar), ar) in mode's Arithmetic, start(ar) checking the premise
+    and returning run's rules.  A float run that breaks an invariant runs once
+    more in rational mode, premise check included, after dropping the records
+    it added to trace, so that trace describes the result."""
     ar = arithmetic(mode)
     mark = 0 if trace is None else len(trace)
     try:
-        return run(ar)
+        return run(start(ar), ar)
     except InvariantError:
         if ar.exact:
             raise
         if trace is not None:
             del trace[mark:]
-        return run(RATIONAL)
+        return run(start(RATIONAL), RATIONAL)
 
 
 def _base_point(inst, x_star, ar):
@@ -284,82 +282,80 @@ def _base_point(inst, x_star, ar):
     return x
 
 
-def _decompose(x0, order, ar, trace, settle, branch, prune_level, finish, name=""):
-    """The level loop and certificate assembly shared by both trees, in ar's numbers.
+def _tree(start, prune, mode, trace, name=""):
+    """The level loop and certificate assembly shared by both trees, run by
+    exact_on_failure on a tree's rules start(ar) = (x*, order, settle, branch, finish).
 
     At level d every node either settles on coordinate order[d] (settle
     returns the node to carry, or None) or is split by branch(x, d) into
-    weighted children; prune_level(nodes) trims the level, which is then checked
-    and traced.  finish(x) turns each leaf into a feasible solution.
+    weighted children; prune(nodes, x*, spp(x*), mode=...) trims the level,
+    which is then checked and traced.  finish(x) turns each leaf into a
+    feasible solution.
     """
-    t = solution_limit(x0)
-    L = [(x0, ar.number(1))]
-    pruned_points = None  # the node points of the last pruning LP
-    for depth, coord in enumerate(order):
-        grown = []
-        branch_totals = []
-        for x, w in L:
-            settled = settle(x, coord)
-            if settled is not None:
-                grown.append((settled, w))
-                continue
-            br = branch(x, depth)
-            branch_totals.append(float(br.total))
-            grown.extend((xh, w * g) for g, xh in zip(br.gammas, br.x_hats) if g)
-        points = [x for x, _ in grown]
-        if points == pruned_points:
-            # the same points give the same LP, and the nodes carry its weights
-            L, old_total = grown, sum(w for _, w in grown)
-            new_total = old_total
-        else:
-            L, old_total, new_total = prune_level(grown)
-            pruned_points = points
-        _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
-                     ar.tol(CHECK_TOL))
-        if trace is not None:
-            trace.append({
-                "level": depth + 1, "coordinate": coord,
-                "pre_prune_size": len(grown), "size": len(L),
-                "pre_prune_mass": float(old_total), "mass": float(new_total),
-                "branch_totals": branch_totals,
-            })
+    def run(rules, ar):
+        x0, order, settle, branch, finish = rules
+        supp, t = support(x0), solution_limit(x0)
+        L = [(x0, ar.number(1))]
+        pruned_points = None  # the node points of the last pruning LP
+        for depth, coord in enumerate(order):
+            grown, branch_totals = [], []
+            for x, w in L:
+                settled = settle(x, coord)
+                if settled is not None:
+                    grown.append((settled, w))
+                    continue
+                br = branch(x, depth)
+                branch_totals.append(float(br.total))
+                grown.extend((xh, w * g) for g, xh in zip(br.gammas, br.x_hats) if g)
+            points = [x for x, _ in grown]
+            if points == pruned_points:
+                # the same points give the same LP, and the nodes carry its weights
+                L, old_total = grown, sum(w for _, w in grown)
+                new_total = old_total
+            else:
+                L, old_total, new_total = prune(grown, x0, supp, mode=ar.name)
+                pruned_points = points
+            _check_level(L, x0, order[: depth + 1], t, old_total, new_total,
+                         ar.tol(CHECK_TOL))
+            if trace is not None:
+                trace.append({
+                    "level": depth + 1, "coordinate": coord,
+                    "pre_prune_size": len(grown), "size": len(L),
+                    "pre_prune_mass": float(old_total), "mass": float(new_total),
+                    "branch_totals": branch_totals,
+                })
+        solutions = tuple(tuple(finish(x)) for x, _ in L)
+        total = sum(w for _, w in L)
+        if total <= 0:
+            raise UnboundedGapOrInfeasible("no leaf mass survived")
+        factor = ar.number(1) / total
+        return Certificate(factor=factor, weights=tuple(w * factor for _, w in L),
+                           solutions=solutions, base_point=x0, name=name)
 
-    solutions = tuple(tuple(finish(x)) for x, _ in L)
-    total = sum(w for _, w in L)
-    if total <= 0:
-        raise UnboundedGapOrInfeasible("no leaf mass survived")
-    factor = ar.number(1) / total
-    return Certificate(
-        factor=factor,
-        weights=tuple(w * factor for _, w in L),
-        solutions=solutions,
-        base_point=x0,
-        name=name,
-    )
+    return exact_on_failure(start, run, mode, trace)
 
 
 def fdt_dive(inst, x_star, seed=0, mode="float", trace=None):
-    """One random root-to-leaf walk of the tree; deterministic given seed.  A
-    float walk that breaks an invariant walks again in rational mode."""
+    """One random root-to-leaf walk of fdt_tree's tree, deterministic given
+    seed.  A float walk that breaks an invariant walks again in rational mode."""
 
-    def run(ar):
-        y = _base_point(inst, x_star, ar)
+    def walk(rules, ar):
+        y, order, settle, branch, finish = rules
         rng = random.Random(seed)
-        order = support(y)
         for depth, coord in enumerate(order):
-            settled = _settle(y, coord, ar)
+            settled = settle(y, coord)
             if settled is not None:
                 y = settled
                 continue
-            br = branch_lpc(inst, y, coord, integral_prefix=order[:depth], mode=ar.name)
+            br = branch(y, depth)
             j = _pick(br.gammas, rng.random())
             if trace is not None:
                 trace.append({"coordinate": coord, "p0": float(br.gammas[0] / br.total),
                               "branch": j})
             y = br.x_hats[j]
-        return _leaf_solution(inst, y, ar.name)
+        return finish(y)
 
-    return exact_on_failure(run, mode, trace)
+    return exact_on_failure(lambda ar: _rules(inst, x_star, ar), walk, mode, trace)
 
 
 def _pick(gammas, u):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from . import lp
 from .binary import fdt_dive, fdt_tree
 from .domtoip import relaxation_lp
 from .generators import enumerate_cv, gen_tap, gen_vc, tap_batch_seed
-from .model import support, verify_certificate_2ec
+from .model import num_str, support, verify_certificate_2ec
 from .twoec import fdt_2ec
 
 RATIO_BINS = [Fraction(1), Fraction(10, 9), Fraction(8, 7), Fraction(6, 5),
@@ -66,26 +67,33 @@ def _histogram(records, key, binner):
     return hist
 
 
+@contextmanager
+def _record(report, rec):
+    """Time the block that fills rec, record an exception it raises as rec's
+    error, and append rec to report."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:  # record and continue
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    rec["time"] = time.perf_counter() - t0
+    report.records.append(rec)
+
+
 def run_tap_experiment(levels_range, instances_per_size, seed=0, mode="float"):
     """LP optimum vs best decomposition leaf on random tree-augmentation
     instances; ratios land at small reference fractions."""
     report = ExperimentReport("tap")
     for levels in levels_range:
         for rep in range(instances_per_size):
-            iid = f"tap-l{levels}-r{rep}"
-            rec = {"instance": iid, "levels": levels}
-            t0 = time.perf_counter()
-            try:
+            rec = {"instance": f"tap-l{levels}-r{rep}", "levels": levels}
+            with _record(report, rec):
                 _, inst = gen_tap(levels, seed=tap_batch_seed(seed, levels, rep))
                 lp_opt, x_star = _solve_relaxation(inst, mode)
                 cert = fdt_tree(inst, x_star, mode=mode)
                 best = min(float(inst.cost(z)) for z in cert.solutions)
                 rec.update(lp_opt=lp_opt, best_cost=best, factor=float(cert.factor),
                            ratio=best / lp_opt, k=cert.k)
-            except Exception as exc:  # record and continue
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-            rec["time"] = time.perf_counter() - t0
-            report.records.append(rec)
     report.histogram = _histogram(report.records, "ratio", ratio_bin)
     return report
 
@@ -97,18 +105,13 @@ def run_cv_experiment(k_list, seed=0, mode="float"):
     for k in k_list:
         for idx, cv in enumerate(enumerate_cv(k, seed=seed)):
             rec = {"instance": f"cv-k{k}-{idx}", "cycle_len": k}
-            t0 = time.perf_counter()
-            try:
+            with _record(report, rec):
                 cert = fdt_2ec(cv.point, mode=mode)
                 ok, rep = verify_certificate_2ec(cert, cv.point.graph)
                 if not ok:
                     raise RuntimeError(f"certificate invalid: {rep[0]}")
                 rec.update(factor=float(cert.factor), k=cert.k,
                            support=len(support(cv.point.x)))
-            except Exception as exc:
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-            rec["time"] = time.perf_counter() - t0
-            report.records.append(rec)
     report.histogram = _histogram(report.records, "factor", factor_bin_2ec)
     return report
 
@@ -119,8 +122,7 @@ def run_vc_experiment(graphs, seed=0, mode="float"):
     report = ExperimentReport("vc")
     for name, graph in graphs:
         rec = {"instance": name}
-        t0 = time.perf_counter()
-        try:
+        with _record(report, rec):
             rec.update(n=graph.num_vertices, m=graph.num_edges)
             inst = gen_vc(graph, name=name)
             lp_opt, x_star = _solve_relaxation(inst, mode)
@@ -132,10 +134,6 @@ def run_vc_experiment(graphs, seed=0, mode="float"):
             rec.update(tree_cost=tree_best, factor=float(cert.factor))
             best = min(rec["dive_cost"], tree_best)
             rec.update(lp_opt=lp_opt, best_cost=best, ratio=best / lp_opt)
-        except Exception as exc:
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-        rec["time"] = time.perf_counter() - t0
-        report.records.append(rec)
     report.histogram = _histogram(report.records, "ratio", ratio_bin)
     return report
 
@@ -160,13 +158,7 @@ def report_to_csv(report, path=None):
                             lineterminator="\n")
     writer.writeheader()
     for rec in report.records:
-        out = {}
-        for k in CSV_FIELDS:
-            if k not in rec:
-                continue
-            v = rec[k]
-            out[k] = f"{v:.9g}" if isinstance(v, float) else v
-        writer.writerow(out)
+        writer.writerow({k: num_str(rec[k]) for k in CSV_FIELDS if k in rec})
     text = buf.getvalue()
     if path:
         with open(path, "w") as fh:

@@ -9,8 +9,8 @@ multiplicities.  Points and their files are fdt.model's SubtourPoint.
 """
 
 from . import lp
-from .binary import (CHECK_TOL, InvariantError, _branching_lp, _decompose, _split,
-                     exact_on_failure, floor_round, prune)
+from .binary import (CHECK_TOL, InvariantError, _branching_lp, _split, _tree, floor_round,
+                     prune)
 from .graphs import global_min_cut
 # is_subtour_feasible and verify_certificate_2ec stay names here for perfbench/spans.py
 from .model import (SEP_TOL, ZERO_TOL, RowMatrix, ValidationError, arithmetic,
@@ -101,34 +101,29 @@ def fdt_2ec(point, mode="float", trace=None):
     tol=0), raises ValidationError.  A float run that breaks an invariant
     is retried once in rational mode, premise check included.
     """
-    return exact_on_failure(lambda ar: _fdt_2ec(point, ar, trace), mode, trace)
-
-
-def _fdt_2ec(point, ar, trace):
     graph = point.graph
-    tol = ar.tol(CHECK_TOL)
-    x0 = base_point(point.x, graph.num_edges, 2, ar, tol)
-    problems = cut_violations(graph, x0, tol)
-    if problems:
-        raise ValidationError(f"x*: {problems[0]}")
-    supp = support(x0)
-    # fractional edges first, then index order
-    order = sorted(supp, key=lambda e: (is_integral(x0[e]), e))
-    cut_pool = CutPool(graph)
-    zero = ar.tol(ZERO_TOL)
 
-    def finish(x):
-        F = floor_round(x, zero)
-        if not check_2ec(graph, F):
-            raise InvariantError("floored leaf is not 2-edge-connected")
-        return F
+    def start(ar):
+        tol = ar.tol(CHECK_TOL)
+        x0 = base_point(point.x, graph.num_edges, 2, ar, tol)
+        problems = cut_violations(graph, x0, tol)
+        if problems:
+            raise ValidationError(f"x*: {problems[0]}")
+        # fractional edges first, then index order
+        order = sorted(support(x0), key=lambda e: (is_integral(x0[e]), e))
+        cut_pool = CutPool(graph)  # per run, so an exact retry starts from the degree cuts
+        zero = ar.tol(ZERO_TOL)
 
-    # an edge at 0 or >= 1 is settled: the floor at the leaves handles it
-    return _decompose(
-        x0, order, ar, trace,
-        settle=lambda x, e: None if zero < x[e] < 1 - zero else x,
-        branch=lambda x, depth: branch_lpc_2ec(graph, x, order[depth],
-                                               cut_pool=cut_pool, mode=ar.name),
-        prune_level=lambda nodes: prune(nodes, x0, supp, mode=ar.name),
-        finish=finish,
-    )
+        def finish(x):
+            F = floor_round(x, zero)
+            if not check_2ec(graph, F):
+                raise InvariantError("floored leaf is not 2-edge-connected")
+            return F
+
+        # an edge at 0 or >= 1 is settled: the floor at the leaves handles it
+        return (x0, order, lambda x, e: None if zero < x[e] < 1 - zero else x,
+                lambda x, depth: branch_lpc_2ec(graph, x, order[depth], cut_pool=cut_pool,
+                                                mode=ar.name),
+                finish)
+
+    return _tree(start, prune, mode, trace)
