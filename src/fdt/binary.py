@@ -253,17 +253,24 @@ def exact_on_failure(start, run, mode, trace):
     """run(start(ar), ar) in mode's Arithmetic, start(ar) checking the premise
     and returning run's rules.  A float run that breaks an invariant runs once
     more in rational mode, premise check included, after dropping the records
-    it added to trace, so that trace describes the result."""
+    it added to trace, so that trace describes the result.  When the exact
+    premise check refuses the x* that the float run accepted, there is no
+    retry: the InvariantError names the broken invariant and the refusal."""
     ar = arithmetic(mode)
     mark = 0 if trace is None else len(trace)
     try:
         return run(start(ar), ar)
-    except InvariantError:
+    except InvariantError as exc:
         if ar.exact:
             raise
         if trace is not None:
             del trace[mark:]
-        return run(start(RATIONAL), RATIONAL)
+        try:
+            rules = start(RATIONAL)
+        except ValidationError as refusal:
+            raise InvariantError(f"{exc}; no exact retry, as x* read exactly is outside P "
+                                 f"({refusal})") from exc
+        return run(rules, RATIONAL)
 
 
 def _base_point(inst, x_star, ar):

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage/data error (or a tree the solvers cannot
 finish), 2 unbounded-gap-or-infeasible signal (or failed verification).
+Every exit 1 prints one ``error:`` line on stderr and no traceback: a
+missing or unknown option, a --matching part that is not a pair a-b, and
+a matching whose support has no fractional point are errors like bad data.
 """
 
 import argparse
@@ -17,8 +20,8 @@ from .binary import InvariantError, fdt_dive, fdt_tree
 from .domtoip import UnboundedGapOrInfeasible, dom_to_ip, dom_to_ip_from_fractional
 from .experiments import (report_to_csv, report_to_json, run_cv_experiment,
                           run_tap_experiment, run_vc_experiment)
-from .generators import (enumerate_cv, gen_cv, gen_tap, gen_vc, read_pace_graph,
-                         tap_batch_seed)
+from .generators import (CvGenerationError, enumerate_cv, gen_cv, gen_tap, gen_vc,
+                         read_pace_graph, tap_batch_seed)
 from .graphs import graph_to_dict, make_graph
 from .lp import LpError
 from .model import (ValidationError, as_fraction, certificate_to_dict,
@@ -114,6 +117,8 @@ def cmd_gen(args):
                 save_point(cv.point, path, rational=args.rational)
             print(f"wrote {len(cvs)} points")
         else:
+            if args.matching is None:
+                raise ValueError("gen cv needs --matching or --enumerate")
             matching = _parse_matching(args.matching)
             cv = gen_cv(args.cycle, matching, seed=args.seed)
             write_json(point_to_dict(cv.point, rational=args.rational), args.out)
@@ -140,10 +145,15 @@ def _gen_tap_batch(args):
 
 
 def _parse_matching(text):
+    """The pairs a-b of a comma-separated --matching; a ValueError names the
+    first part that is not a pair of ints."""
     pairs = []
     for part in text.split(","):
-        a, b = part.split("-")
-        pairs.append((int(a), int(b)))
+        try:
+            a, b = map(int, part.split("-"))
+        except ValueError:
+            raise ValueError(f"--matching: {part!r} is not a pair a-b of vertices") from None
+        pairs.append((a, b))
     return pairs
 
 
@@ -208,13 +218,21 @@ def _common(p, suppress):
                    help="output path (or prefix for benchmarks)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValueError, so that fdt exits 1 on it like on bad data."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="fdt")
+    p = _Parser(prog="fdt")
     _common(p, suppress=False)
     # globals are also accepted after the subcommand name
     common = argparse.ArgumentParser(add_help=False)
     _common(common, suppress=True)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     s = sub.add_parser("domtoip", help="push an integral dominating point into S")
     s.add_argument("--instance", required=True)
@@ -271,13 +289,13 @@ def build_parser():
 
 def main(argv=None):
     logging.basicConfig(level=os.environ.get("FDT_LOG", "WARNING").upper())
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UnboundedGapOrInfeasible:
         print("unbounded-gap-or-infeasible")
         return 2
-    except (OSError, ValueError, LpError, InvariantError) as exc:
+    except (OSError, ValueError, LpError, InvariantError, CvGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,11 @@
 """Batch experiment runners and report emitters.
 
-Each runner isolates per-instance failures as error records, bins outcome
-ratios/factors against fixed reference values, and writes byte-stable CSV
-so identical seeds reproduce identical reports.
+Each runner fills one record per instance in _record, which times it and
+turns a failure into the record's error.  Every certificate is verified at
+its mode's tolerance (VERIFY_TOL in float mode, 0 in rational mode), and a
+refused one is an error too.  Outcome ratios and factors are binned against
+fixed reference values, and the CSV is byte-stable, so identical seeds
+reproduce identical reports.
 """
 
 import csv
@@ -17,7 +20,7 @@ from . import lp
 from .binary import fdt_dive, fdt_tree
 from .domtoip import relaxation_lp
 from .generators import enumerate_cv, gen_tap, gen_vc, tap_batch_seed
-from .model import num_str, support, verify_certificate_2ec
+from .model import arithmetic, num_str, support, verify_certificate, verify_certificate_2ec
 from .twoec import fdt_2ec
 
 RATIO_BINS = [Fraction(1), Fraction(10, 9), Fraction(8, 7), Fraction(6, 5),
@@ -25,6 +28,7 @@ RATIO_BINS = [Fraction(1), Fraction(10, 9), Fraction(8, 7), Fraction(6, 5),
 FACTOR_BINS_2EC = [1.08, 1.11, 1.14, 1.17, 1.2]
 BIN_TOL = 1e-9
 DIVE_TRIES = 5  # run_vc_experiment keeps the best of this many seeded dives
+VERIFY_TOL = 1e-6  # float mode's verifier tolerance; rational mode's is 0
 
 
 @dataclass
@@ -80,6 +84,15 @@ def _record(report, rec):
     report.records.append(rec)
 
 
+def _verified(cert, verify, problem, mode):
+    """cert, once verify(cert, problem) accepts it at mode's tolerance; a
+    RuntimeError names the first problem otherwise."""
+    ok, rep = verify(cert, problem, tol=arithmetic(mode).tol(VERIFY_TOL))
+    if not ok:
+        raise RuntimeError(f"certificate invalid: {rep[0]}")
+    return cert
+
+
 def run_tap_experiment(levels_range, instances_per_size, seed=0, mode="float"):
     """LP optimum vs best decomposition leaf on random tree-augmentation
     instances; ratios land at small reference fractions."""
@@ -90,7 +103,8 @@ def run_tap_experiment(levels_range, instances_per_size, seed=0, mode="float"):
             with _record(report, rec):
                 _, inst = gen_tap(levels, seed=tap_batch_seed(seed, levels, rep))
                 lp_opt, x_star = _solve_relaxation(inst, mode)
-                cert = fdt_tree(inst, x_star, mode=mode)
+                cert = _verified(fdt_tree(inst, x_star, mode=mode), verify_certificate, inst,
+                                 mode)
                 best = min(float(inst.cost(z)) for z in cert.solutions)
                 rec.update(lp_opt=lp_opt, best_cost=best, factor=float(cert.factor),
                            ratio=best / lp_opt, k=cert.k)
@@ -106,10 +120,8 @@ def run_cv_experiment(k_list, seed=0, mode="float"):
         for idx, cv in enumerate(enumerate_cv(k, seed=seed)):
             rec = {"instance": f"cv-k{k}-{idx}", "cycle_len": k}
             with _record(report, rec):
-                cert = fdt_2ec(cv.point, mode=mode)
-                ok, rep = verify_certificate_2ec(cert, cv.point.graph)
-                if not ok:
-                    raise RuntimeError(f"certificate invalid: {rep[0]}")
+                cert = _verified(fdt_2ec(cv.point, mode=mode), verify_certificate_2ec,
+                                 cv.point.graph, mode)
                 rec.update(factor=float(cert.factor), k=cert.k,
                            support=len(support(cv.point.x)))
     report.histogram = _histogram(report.records, "factor", factor_bin_2ec)
@@ -129,7 +141,7 @@ def run_vc_experiment(graphs, seed=0, mode="float"):
             rec["dive_cost"] = min(
                 float(inst.cost(fdt_dive(inst, x_star, seed=seed * 1000 + s, mode=mode)))
                 for s in range(DIVE_TRIES))
-            cert = fdt_tree(inst, x_star, mode=mode)
+            cert = _verified(fdt_tree(inst, x_star, mode=mode), verify_certificate, inst, mode)
             tree_best = min(float(inst.cost(z)) for z in cert.solutions)
             rec.update(tree_cost=tree_best, factor=float(cert.factor))
             best = min(rec["dive_cost"], tree_best)

@@ -449,3 +449,15 @@ class TestExactRetry:
         with pytest.raises(InvariantError, match="prune lost mass"):
             fdt_tree(triangle(), [HALF] * 3, mode="rational")
         assert broken == ["rational"]
+
+    def test_retry_refused_by_the_exact_premise_names_the_broken_invariant(self, monkeypatch):
+        # 1/3 in floats reads just below 1/3 exactly, so x0 + x1 + x2 >= 1
+        # holds to within the float tolerance and misses exactly
+        inst = make_instance(3, [({0: 1, 1: 1, 2: 1}, 1)])
+        broken = self.break_prune(monkeypatch, "float")
+        with pytest.raises(InvariantError, match=r"^prune lost mass: 1\.0 -> 0\.5; no exact "
+                           r"retry, as x\* read exactly is outside P \(x\*: violates row 0: "
+                           r"18014398509481983/18014398509481984 < 1\)$") as info:
+            fdt_tree(inst, [1 / 3] * 3, mode="float")
+        assert isinstance(info.value.__cause__, InvariantError)
+        assert broken == ["float"]

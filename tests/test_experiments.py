@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from fdt import experiments
 from fdt.experiments import (factor_bin_2ec, ratio_bin, report_to_csv,
                              report_to_json, run_cv_experiment,
                              run_tap_experiment, run_vc_experiment,
@@ -108,3 +111,55 @@ class TestReports:
         d = report_to_json(report, tmp_path / "agg.json")
         assert d["count"] == 2 and d["errors"] == 0
         assert (tmp_path / "agg.json").exists()
+
+
+class TestVerifiedCertificates:
+    """Every batch certificate is verified at its mode's tolerance, 1e-6 in
+    float mode and 0 in rational mode; a refused one is its record's error."""
+
+    @staticmethod
+    def scale_weights(monkeypatch, tree, scale):
+        real = getattr(experiments, tree)
+
+        def tampered(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            return dataclasses.replace(cert, weights=tuple(w * scale for w in cert.weights))
+        monkeypatch.setattr(experiments, tree, tampered)
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_refused_tree_certificates_are_errors(self, monkeypatch, mode):
+        self.scale_weights(monkeypatch, "fdt_tree", 2)
+        tap = run_tap_experiment([3], 2, seed=9, mode=mode)
+        vc = run_vc_experiment([("triangle", make_graph(3, [(0, 1), (1, 2), (0, 2)]))],
+                               mode=mode)
+        for report in (tap, vc):
+            assert [r.get("error") for r in report.records] == [
+                "RuntimeError: certificate invalid: weights: sum is 2, expected 1"
+            ] * len(report.records)
+            assert report.ratios() == []
+
+    @pytest.mark.parametrize("mode, errors", [("float", 0), ("rational", 3)])
+    def test_weights_off_by_1e9_refused_only_in_rational_mode(self, monkeypatch, mode,
+                                                              errors):
+        scale = 1 + Fraction(1, 10**9) if mode == "rational" else 1 + 1e-9
+        self.scale_weights(monkeypatch, "fdt_2ec", scale)
+        report = run_cv_experiment([8], mode=mode)
+        assert len(report.records) == 3
+        assert [r["error"] for r in report.errors] == [
+            "RuntimeError: certificate invalid: weights: sum is 1000000001/1000000000, "
+            "expected 1"] * errors
+
+
+class TestReportPins:
+    """Rational batches are exact, so their CSVs read the same on every
+    platform; these digests were recorded before the batches shared one
+    record loop."""
+
+    @pytest.mark.parametrize("run, digest", [
+        (lambda: run_tap_experiment([3], 3, seed=9, mode="rational"),
+         "39c07726e4462d185f9e873c63937efbc39cd6743b75fb909818888b280560d6"),
+        (lambda: run_cv_experiment([8], mode="rational"),
+         "930e67508abb295192d3f95e4cf8a4180a372c18a83bda9f2ada14ac748851fe"),
+    ], ids=["tap", "cv"])
+    def test_rational_csv_digest(self, run, digest):
+        assert hashlib.sha256(report_to_csv(run()).encode()).hexdigest() == digest

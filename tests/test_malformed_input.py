@@ -285,3 +285,20 @@ def test_bad_pace_file_is_named(tmp_path, text, message):
                               "--out", str(tmp_path / "vc.json")])
     assert_data_error(code, out, err)
     assert re.match(rf"error: {re.escape(str(path))}{message}", err), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a matching whose support has no fractional extreme point
+    (["gen", "cv", "--cycle", "8", "--matching", "0-1,2-3,4-5,6-7"],
+     r"support admits no fractional extreme point \(matching \[\(0, 1\)"),
+    (["gen", "cv", "--cycle", "8"], r"gen cv needs --matching or --enumerate"),
+    (["gen", "cv", "--cycle", "8", "--matching", "0-4-1,2-6"],
+     r"--matching: '0-4-1' is not a pair a-b of vertices"),
+    # a usage error exits 1 too: exit 2 is the gap signal and a failed verification
+    (["solve", "--point", "x.json"],
+     r"fdt solve: the following arguments are required: --instance"),
+])
+def test_bad_command_line_exits_1_with_one_error_line(tmp_path, argv, message):
+    code, out, err = run_cli(argv + ["--out", str(tmp_path / "out.json")])
+    assert_data_error(code, out, err)
+    assert re.match(rf"error: {message}", err), err

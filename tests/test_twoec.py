@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from fractions import Fraction
@@ -208,6 +209,17 @@ class TestBranching:
         assert rounds[-1] == kept
         assert [xh is not None for xh in br.x_hats] == [bool(g) for g in br.gammas]
 
+    def test_cut_pool_refuses_a_side_it_holds_and_its_complement(self):
+        pt = cv8()
+        pool = CutPool(pt.graph)
+        side = frozenset({0, 1, 2})
+        assert pool.add(side)
+        rows = copy.deepcopy(pool.rows)
+        for again in (side, frozenset(range(pt.graph.num_vertices)) - side, frozenset({3})):
+            assert not pool.add(again)
+            assert len(pool) == 1
+            assert pool.rows == rows
+
     def test_zero_edge_rejected(self):
         pt = square()
         with pytest.raises(ValueError):
@@ -256,6 +268,55 @@ class TestFdt2ec:
         ok, report = verify_certificate_2ec(bad, cv8().graph)
         assert not ok
         assert any("2-edge-connected" in line for line in report)
+
+    def break_prune(self, monkeypatch):
+        """Halve the weights that every float pruning LP keeps."""
+        real = twoec.prune
+        broken = []
+
+        def prune(nodes, x_star, supp=None, mode="float"):
+            kept, old_total, new_total = real(nodes, x_star, supp, mode=mode)
+            if mode != "float":
+                return kept, old_total, new_total
+            broken.append(mode)
+            kept = [(x, w / 2) for x, w in kept]
+            return kept, old_total, sum(w for _, w in kept)
+        monkeypatch.setattr(twoec, "prune", prune)
+        return broken
+
+    def test_float_tree_that_breaks_an_invariant_returns_the_rational_certificate(
+            self, monkeypatch):
+        # the triangular prism, triangle edges at 1/2 and rungs at 1: x* is
+        # dyadic, so the exact retry reads the float x* as it is
+        prism = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                               (0, 3), (1, 4), (2, 5)])
+        exact = fdt_2ec(SubtourPoint(prism, (Fraction(1, 2),) * 6 + (1,) * 3), "rational")
+        broken = self.break_prune(monkeypatch)
+        cert = fdt_2ec(SubtourPoint(prism, (0.5,) * 6 + (1.0,) * 3), "float")
+        assert cert == exact
+        assert (cert.factor, cert.k) == (Fraction(7, 6), 7)
+        assert broken == ["float"]
+
+    def test_retry_refused_by_the_exact_premise_names_the_broken_invariant(self, monkeypatch):
+        # 2/3 in floats reads just below 2/3 exactly, so each vertex's cut in
+        # K4 is 2 to within the float tolerance and below 2 exactly
+        k4 = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        broken = self.break_prune(monkeypatch)
+        with pytest.raises(InvariantError, match=r"^prune lost mass: 1\.0 -> 0\.5; no exact "
+                           r"retry, as x\* read exactly is outside P \(x\*: base point "
+                           r"violates the cut of vertices \[3\]: "
+                           r"18014398509481983/9007199254740992 < 2\)$") as info:
+            fdt_2ec(SubtourPoint(k4, (2 / 3,) * 6), "float")
+        assert isinstance(info.value.__cause__, InvariantError)
+        assert broken == ["float"]
+
+    def test_multiplicity_outside_0_1_2_rejected(self):
+        cert = fdt_2ec(cv8())
+        bad = Certificate(cert.factor, cert.weights,
+                          ((1,) * 11 + (3,),) + cert.solutions[1:], cert.base_point)
+        ok, report = verify_certificate_2ec(bad, cv8().graph)
+        assert not ok
+        assert "solution 0 has a multiplicity outside {0,1,2}" in report
 
     def test_base_point_outside_relaxation_rejected(self):
         # every check on the solutions passes; x* itself is not in the
